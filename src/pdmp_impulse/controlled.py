@@ -1,4 +1,4 @@
-"""Budget-augmented controlled process: simulation and Monte Carlo validation.
+"""Budget-augmented controlled process: trajectories and Monte Carlo validation.
 
 The controlled process carries (mode, position, remaining budget N, clock
 since last jump).  Between jumps it follows the uncontrolled flow; the sojourn
@@ -9,32 +9,35 @@ relocate deterministically to the policy's restart point with budget N - 1.
 Natural jumps draw from the kernel and also decrement the budget while it is
 positive.  Classification never compares sampled reals for equality: the
 sojourn sampler returns the truncation flag.
+
+Every simulation here runs the step core and path loop of :mod:`.dynamics`,
+the same code that simulates the uncontrolled process at budget 0, with the
+policy lookup of :meth:`PolicyTable.lookup` that :func:`policy_query` uses.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import ks_2samp
 
 from .dynamics import (
+    INTERVENTION,
+    NATURAL,
     IntensityPath,
-    MAX_JUMPS,
+    _check_start,
+    _raw_step,
+    _run_path,
     _runtime,
-    _sample_truncated,
     default_horizon,
 )
-from .errors import DomainError, NumericalError, PolicyCoverageError
+from .errors import DomainError, PolicyCoverageError
 from .model import PdmpModel, StatePoint
+from .operators import collect_atom_records
 from .quadrature import panel_cumulative, panel_nodes
 from .valuefn import PolicyTable, policy_query
-
-NATURAL = "natural"
-INTERVENTION = "intervention"
 
 KS_CRIT_1PCT = math.sqrt(-0.5 * math.log(0.005))  # two-sided 1% coefficient
 
@@ -138,86 +141,6 @@ class ControlledTrajectory:
 
 
 # --------------------------------------------------------------------------
-# Policy lookups tuned for the simulation loop
-
-
-class _PolicyRuntime:
-    """Per-(table, model) scalar lookups of (r, restart index) by budget.
-
-    The waiting branch reports r = +inf to the engine: the sojourn cap
-    min(t*, r) and the jump classification are unchanged by substituting
-    +inf for t*, and it saves recomputing the exact boundary-hit time twice.
-    """
-
-    def __init__(self, table: PolicyTable, model: PdmpModel):
-        self.table = table
-        self.model = model
-        self.n_max = table.n_max
-        self.d1 = model.dim == 1
-        self.control = [(y.mode, y.zeta) for y in table.control_set]
-        self.axis: dict[int, list[float]] = {}
-        self.r: dict[tuple[int, int], list[float]] = {}
-        self.wait: dict[tuple[int, int], list[bool]] = {}
-        self.y: dict[tuple[int, int], list[int]] = {}
-        if self.d1:
-            for m in table.axes:
-                self.axis[m] = [float(v) for v in table.axes[m][0]]
-            for k in range(1, table.n_max + 1):
-                stage = table.stages[k - 1]
-                for m in table.axes:
-                    self.r[(k, m)] = [float(v) for v in stage.r[m]]
-                    self.wait[(k, m)] = [bool(v) for v in stage.wait[m]]
-                    self.y[(k, m)] = [int(v) for v in stage.y_index[m]]
-
-    def lookup(self, mode: int, zeta, budget: int) -> tuple[float, int]:
-        """(planned intervention time, restart index); (-inf-budget rule)."""
-        if budget == 0:
-            return math.inf, -1
-        if budget > self.n_max:
-            raise PolicyCoverageError(
-                f"budget {budget} exceeds the table's maximum {self.n_max}"
-            )
-        if not self.d1:
-            res = policy_query(self.table, StatePoint(mode, tuple(np.atleast_1d(zeta))),
-                               budget, model=self.model)
-            if res.y is None:
-                return math.inf, -1
-            return res.r, self.table.control_set.index(res.y)
-        z = zeta if isinstance(zeta, float) else float(zeta[0])
-        axis = self.axis[mode]
-        n = len(axis)
-        i = bisect.bisect_right(axis, z) - 1
-        if i < 0:
-            i = 0
-        elif i > n - 2:
-            i = n - 2
-        t = (z - axis[i]) / (axis[i + 1] - axis[i])
-        nearest = i + 1 if t > 0.5 else i
-        wait = self.wait[(budget, mode)]
-        if wait[nearest]:
-            return math.inf, -1
-        r_arr = self.r[(budget, mode)]
-        if wait[i] == wait[i + 1]:
-            r = r_arr[i] * (1.0 - t) + r_arr[i + 1] * t
-        else:
-            r = r_arr[nearest]
-        return r, self.y[(budget, mode)][nearest]
-
-
-_policy_cache: "weakref.WeakKeyDictionary[PolicyTable, _PolicyRuntime]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _policy_runtime(table: PolicyTable, model: PdmpModel) -> _PolicyRuntime:
-    rt = _policy_cache.get(table)
-    if rt is None or rt.model is not model:
-        rt = _PolicyRuntime(table, model)
-        _policy_cache[table] = rt
-    return rt
-
-
-# --------------------------------------------------------------------------
 # Augmented-process operations
 
 
@@ -257,67 +180,14 @@ def aug_step(s: AugmentedState, table: PolicyTable, model: PdmpModel,
     """
     if s is CEMETERY:
         raise DomainError("cannot step from the cemetery state")
-    rt = _runtime(model)
-    prt = _policy_runtime(table, model)
-    step = _raw_step(rt, prt, s.mode, s.zeta, s.budget, rng)
-    sojourn, kind, cap_hit, pre_mode, pre_pos, post_mode, post_pos, post_budget, _y = step
-    pre = AugmentedState(pre_mode, pre_pos, s.budget, s.clock + sojourn)
+    sojourn, kind, cap_hit, pre_pos, post_mode, post_pos, post_budget, _index = _raw_step(
+        _runtime(model), table, s.mode, s.zeta, s.budget, rng
+    )
+    pre = AugmentedState(s.mode, pre_pos, s.budget, s.clock + sojourn)
     post = AugmentedState(post_mode, post_pos, post_budget, 0.0)
     event = AugJumpEvent(time=sojourn, sojourn=sojourn, pre=pre, post=post,
                          kind=kind, cap_hit=cap_hit)
     return post, event
-
-
-def _raw_step(rt, prt: _PolicyRuntime, mode: int, zeta, budget: int,
-              rng: np.random.Generator):
-    """Shared step core; positions are tuples, scalars fast-pathed for d=1."""
-    if rt.d1:
-        z = zeta[0] if not isinstance(zeta, float) else zeta
-        ts = rt.hit1[mode](z)
-        r, y_idx = prt.lookup(mode, z, budget)
-        cap = ts if r > ts else r
-        sojourn, cap_hit = rt.sample_trunc1(mode, z, cap, rng.random())
-        if cap_hit and r < ts:
-            if y_idx < 0:
-                raise PolicyCoverageError(
-                    f"intervention scheduled at (mode={mode}, zeta={z}) with no restart"
-                )
-            pre_pos = (rt.pos1[mode](z, sojourn),)
-            y_mode, y_pos = prt.control[y_idx]
-            return (sojourn, INTERVENTION, True, mode, pre_pos,
-                    y_mode, y_pos, budget - 1, y_idx)
-        z_pre = rt.pos1[mode](z, sojourn)
-        new_mode, new_z = rt.post_jump1(mode, z_pre, rng.random())
-        return (sojourn, NATURAL, cap_hit, mode, (z_pre,),
-                new_mode, (new_z,), budget - 1 if budget > 0 else 0, -1)
-    # General-dimension path.
-    model = rt.model
-    ts = model.flow.hit_time(mode, zeta)
-    r, y_idx = prt.lookup(mode, zeta, budget)
-    cap = ts if r > ts else r
-    ipath = rt.intensity_path(mode, np.asarray(zeta), cap if math.isfinite(cap) else ts)
-    sojourn, cap_hit = _sample_truncated(ipath, cap, rng.random())
-    pre_arr = np.asarray(model.flow.position(mode, np.asarray(zeta), sojourn))
-    pre_pos = tuple(float(v) for v in pre_arr)
-    if cap_hit and r < ts:
-        if y_idx < 0:
-            raise PolicyCoverageError(
-                f"intervention scheduled at (mode={mode}, zeta={zeta}) with no restart"
-            )
-        y_mode, y_pos = prt.control[y_idx]
-        return (sojourn, INTERVENTION, True, mode, pre_pos,
-                y_mode, y_pos, budget - 1, y_idx)
-    atoms = model.kernel.atoms_at(mode, pre_pos)
-    u = rng.random()
-    acc = 0.0
-    point = atoms[-1][0]
-    for cand, prob in atoms:
-        acc += prob
-        if u < acc:
-            point = cand
-            break
-    return (sojourn, NATURAL, cap_hit, mode, pre_pos,
-            point.mode, point.zeta, budget - 1 if budget > 0 else 0, -1)
 
 
 def simulate_controlled(
@@ -339,58 +209,30 @@ def simulate_controlled(
         raise PolicyCoverageError(f"initial budget {n0} outside table range 0..{table.n_max}")
     if horizon is None:
         horizon = default_horizon(model)
-    rt = _runtime(model)
-    prt = _policy_runtime(table, model)
-    alpha = model.discount
-    start = AugmentedState(x0.mode, x0.zeta, n0, 0.0)
-    mode, zeta, budget = x0.mode, x0.zeta, n0
-    elapsed = 0.0
-    running = 0.0
-    interventions = 0.0
-    events: list[AugJumpEvent] = []
-    taus: list[float] = []
-    restarts: list[AugmentedState] = []
-    n_jumps = 0
-    while True:
-        step = _raw_step(rt, prt, mode, zeta, budget, rng)
-        (sojourn, kind, cap_hit, pre_mode, pre_pos,
-         post_mode, post_pos, post_budget, y_idx) = step
-        seg = sojourn if elapsed + sojourn < horizon else max(horizon - elapsed, 0.0)
-        running += rt.segment_cost(mode, zeta, seg, elapsed)
-        jump_time = elapsed + sojourn
-        if kind == INTERVENTION:
-            fee = model.costs.intervention(pre_mode, pre_pos, y_idx)
-            interventions += math.exp(-alpha * jump_time) * fee
-            taus.append(jump_time)
-            restarts.append(AugmentedState(post_mode, post_pos, post_budget, 0.0))
-        if collect_events:
-            events.append(
-                AugJumpEvent(
-                    time=jump_time,
-                    sojourn=sojourn,
-                    pre=AugmentedState(pre_mode, pre_pos, budget, sojourn),
-                    post=AugmentedState(post_mode, post_pos, post_budget, 0.0),
-                    kind=kind,
-                    cap_hit=cap_hit,
-                )
-            )
-        elapsed = jump_time
-        mode, zeta, budget = post_mode, post_pos, post_budget
-        n_jumps += 1
-        if n_jumps > MAX_JUMPS:
-            raise NumericalError(
-                f"more than {MAX_JUMPS} jumps; the model looks numerically explosive"
-            )
-        if elapsed >= horizon and budget == 0:
-            break
+    running, fees, interventions, steps = _run_path(model, table, x0, n0, horizon, rng,
+                                                    collect_events)
     return ControlledTrajectory(
-        start=start,
-        events=tuple(events),
-        tau_times=tuple(taus),
-        restarts=tuple(restarts),
+        start=AugmentedState(x0.mode, x0.zeta, n0, 0.0),
+        events=tuple(
+            AugJumpEvent(
+                time=time,
+                sojourn=sojourn,
+                pre=AugmentedState(mode, pre, budget, sojourn),
+                post=AugmentedState(post_mode, post_pos, post_budget, 0.0),
+                kind=kind,
+                cap_hit=cap_hit,
+            )
+            for time, mode, budget, (sojourn, kind, cap_hit, pre, post_mode, post_pos,
+                                     post_budget, _index) in steps
+        ),
+        tau_times=tuple(time for time, _mode, _budget, _step in interventions),
+        restarts=tuple(AugmentedState(post_mode, post_pos, post_budget, 0.0)
+                       for _time, _mode, _budget, (_sojourn, _kind, _cap_hit, _pre, post_mode,
+                                                   post_pos, post_budget, _index)
+                       in interventions),
         horizon=horizon,
         running_cost=running,
-        intervention_cost=interventions,
+        intervention_cost=fees,
     )
 
 
@@ -482,31 +324,6 @@ def _std_dev(observed_count: int, n: int, p: float) -> float:
     return (observed_count - n * p) / math.sqrt(n * p * (1.0 - p))
 
 
-def _first_transition(model: PdmpModel, rt, prt: _PolicyRuntime, x0: StatePoint,
-                      n0: int, rng: np.random.Generator):
-    """First transition with the selected kernel atom index exposed."""
-    ts = model.flow.hit_time(x0.mode, x0.zeta)
-    r, y_idx = prt.lookup(x0.mode, x0.zeta, n0)
-    cap = ts if r > ts else r
-    ipath = rt.intensity_path(x0.mode, np.asarray(x0.zeta),
-                              cap if math.isfinite(cap) and cap > 0 else max(ts, 1e-12))
-    sojourn, cap_hit = _sample_truncated(ipath, cap, rng.random())
-    if cap_hit and r < ts:
-        return sojourn, INTERVENTION, -1, None
-    pre = np.asarray(model.flow.position(x0.mode, np.asarray(x0.zeta), sojourn))
-    atoms = model.kernel.atoms_at(x0.mode, pre)
-    u = rng.random()
-    acc = 0.0
-    chosen = len(atoms) - 1
-    for j, (_point, prob) in enumerate(atoms):
-        acc += prob
-        if u < acc:
-            chosen = j
-            break
-    boundary = cap_hit  # cap == ts here
-    return sojourn, NATURAL, chosen, boundary
-
-
 def check_joint_law(x0: StatePoint, n0: int, table: PolicyTable, model: PdmpModel,
                     replicates: int, seed: int, quad_points: int = 257) -> LawReport:
     """Compare empirical first-transition frequencies with the analytic law.
@@ -519,8 +336,8 @@ def check_joint_law(x0: StatePoint, n0: int, table: PolicyTable, model: PdmpMode
     """
     if replicates < 100:
         raise DomainError("need at least 100 replicates")
+    _check_start(model, x0.mode, x0.zeta)
     rt = _runtime(model)
-    prt = _policy_runtime(table, model)
     ts = model.flow.hit_time(x0.mode, x0.zeta)
     res = policy_query(table, x0, n0, model=model) if n0 > 0 else None
     r = res.r if res is not None else math.inf
@@ -545,19 +362,13 @@ def check_joint_law(x0: StatePoint, n0: int, table: PolicyTable, model: PdmpMode
             pos = pos[None, :]
         lam_s = np.asarray(ipath.lam(s), dtype=float)
         haz = lam_s * np.exp(-np.asarray(ipath.cumulative(s), dtype=float))
-        claimed = np.zeros(s.size, dtype=bool)
-        for entry in model.kernel.entries:
-            if entry.from_mode != x0.mode:
-                continue
-            mask = entry.matches_many(pos) & ~claimed
-            if not mask.any():
-                continue
-            for j, atom in enumerate(entry.atoms):
-                mass = panel_cumulative(haz * np.where(mask, atom.prob, 0.0), wq)[-1]
-                atom_probs_interior[j] = (
-                    atom_probs_interior.get(j, 0.0) + float(mass) / p_interior
-                )
-            claimed |= mask
+        for rec in collect_atom_records(model, x0.mode, pos):
+            weights = np.zeros(s.size)
+            weights[rec.indices] = rec.prob
+            mass = panel_cumulative(haz * weights, wq)[-1]
+            atom_probs_interior[rec.atom] = (
+                atom_probs_interior.get(rec.atom, 0.0) + float(mass) / p_interior
+            )
         n_atoms = len(atom_probs_interior)
     boundary_atoms = model.kernel.atoms_at(
         x0.mode, np.asarray(model.flow.position(x0.mode, np.asarray(x0.zeta), ts))
@@ -570,12 +381,11 @@ def check_joint_law(x0: StatePoint, n0: int, table: PolicyTable, model: PdmpMode
     boundary_atom_counts = dict.fromkeys(range(len(boundary_atoms)), 0)
     for rep in range(replicates):
         rng = np.random.default_rng([seed, rep])
-        _sojourn, kind, atom_idx, boundary = _first_transition(
-            model, rt, prt, x0, n0, rng
-        )
+        step = _raw_step(rt, table, x0.mode, x0.zeta, n0, rng)
+        kind, cap_hit, atom_idx = step[1], step[2], step[7]
         if kind == INTERVENTION:
             interv_count += 1
-        elif boundary:
+        elif cap_hit:
             boundary_count += 1
             if atom_idx in boundary_atom_counts:
                 boundary_atom_counts[atom_idx] += 1

@@ -1,12 +1,17 @@
-"""Flow evaluation, jump-time sampling and uncontrolled trajectory simulation.
+"""Flow evaluation, jump-time sampling and the one simulation loop.
 
 The sojourn law combines a continuous hazard part (inverse-CDF via the
-cumulative intensity along the flow) with an atom at the boundary-hit time.
+cumulative intensity along the flow) with an atom at the truncation cap.
 Intensities that are constant along the flow get closed-form handling; smooth
 non-constant intensities are integrated through a Chebyshev fit of the
 intensity along the flow, with adaptive quadrature backing the one-off
-operations.  A per-model runtime caches scalar closures so the Monte Carlo
-loops stay tight for one-dimensional models.
+operations.
+
+A single step core and path loop simulate the budget-augmented process
+(mode, position, budget, clock) in every dimension, on the model's scalar
+flow maps over position tuples.  The uncontrolled process is that process at
+budget 0, where the policy table is never consulted: :func:`simulate_uncontrolled`
+and the controlled simulator run the same loop.
 """
 
 from __future__ import annotations
@@ -14,16 +19,21 @@ from __future__ import annotations
 import json
 import math
 import weakref
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, PolicyCoverageError
 from .model import PdmpModel, StatePoint
 
 MAX_JUMPS = 1_000_000
+
+NATURAL = "natural"
+INTERVENTION = "intervention"
 
 
 @dataclass(frozen=True)
@@ -143,18 +153,19 @@ class IntensityPath:
 
 
 class _SimRuntime:
-    """Per-model scalar closures unpacked for tight simulation loops.
+    """Per-model scalar maps for the step core, in every dimension.
 
-    One-dimensional models get pure-float fast paths for the flow, the
-    boundary-hit time, truncated sojourn sampling and static-atom kernels;
-    everything else falls back to the general vectorized machinery.
+    Holds the flow's hit and position closures, the intensity and running
+    cost per mode when they are constant (None otherwise), and for modes whose
+    kernel is one region-free entry of static atoms, the cumulative atom
+    probabilities with their targets.
     """
 
     def __init__(self, model: PdmpModel):
         self.model = model
         self.alpha = model.discount
-        self.dim = model.dim
-        self.d1 = model.dim == 1
+        self.hit = model.flow.hit_fn
+        self.position = model.flow.position_fn
         self.lam_const = {
             m: (e.constant_value() if e.is_constant else None)
             for m, e in model.intensity.items()
@@ -163,113 +174,50 @@ class _SimRuntime:
             m: (e.constant_value() if e.is_constant else None)
             for m, e in model.costs.running.items()
         }
-        self.hit1 = {}
-        self.pos1 = {}
-        if self.d1:
-            for m in model.mode_ids:
-                self.hit1[m] = self._build_hit1(m)
-                self.pos1[m] = self._build_pos1(m)
-        # Kernel fast path: one region-free entry of static atoms per mode.
-        self.kernel_fast: dict[int, list[tuple[float, int, tuple[float, ...]]] | None] = {}
+        self.static_kernel = {}
         for m in model.mode_ids:
-            entries = [e for e in model.kernel.entries if e.from_mode == m]
-            fast = None
-            if len(entries) == 1 and entries[0].region is None and all(
-                a.is_static for a in entries[0].atoms
-            ):
-                acc = 0.0
-                fast = []
-                for a in entries[0].atoms:
-                    acc += a.prob
-                    fast.append((acc, a.mode, a.position(np.zeros(model.dim))))
-            self.kernel_fast[m] = fast
+            atoms = model.kernel.static_atoms_for(m)
+            self.static_kernel[m] = None if atoms is None else (
+                list(accumulate(prob for _mode, _pos, prob in atoms)),
+                [(a_mode, a_pos, j) for j, (a_mode, a_pos, _prob) in enumerate(atoms)],
+            )
 
-    def _build_hit1(self, mode: int):
-        region = self.model.region(mode)
-        lo, hi = region.lower[0], region.upper[0]
-        family = self.model.flow.family
-        p = self.model.flow.params[mode]
-        if family == "constant-drift":
-            v = float(p["velocity"][0])
-            if v > 0:
-                return lambda z: (hi - z) / v
-            if v < 0:
-                return lambda z: (z - lo) / (-v)
-            return lambda z: math.inf
-        if family == "linear-decay-to-target":
-            g, r = float(p["target"][0]), float(p["rate"][0])
-            if g <= lo:
-                return lambda z: (z - lo) / r
-            if g >= hi:
-                return lambda z: (hi - z) / r
-            return lambda z: math.inf
-        g, r = float(p["target"][0]), float(p["rate"][0])
-        if g < lo:
-            return lambda z: math.log((z - g) / (lo - g)) / r
-        if g > hi:
-            return lambda z: math.log((g - z) / (g - hi)) / r
-        return lambda z: math.inf
+    def sample_sojourn(self, mode: int, zeta, t_cap: float, u: float) -> tuple[float, bool]:
+        """Inverse-CDF sojourn draw truncated at t_cap, with an atom at t_cap.
 
-    def _build_pos1(self, mode: int):
-        family = self.model.flow.family
-        p = self.model.flow.params[mode]
-        if family == "constant-drift":
-            v = float(p["velocity"][0])
-            return lambda z, t: z + v * t
-        if family == "linear-decay-to-target":
-            g, r = float(p["target"][0]), float(p["rate"][0])
-
-            def pos(z, t):
-                delta = z - g
-                mag = abs(delta) - r * t
-                if mag <= 0.0:
-                    return g
-                return g + math.copysign(mag, delta)
-
-            return pos
-        g, r = float(p["target"][0]), float(p["rate"][0])
-        return lambda z, t: g + (z - g) * math.exp(-r * t)
-
-    def intensity_path(self, mode: int, zeta, t_star: float) -> IntensityPath:
-        return IntensityPath(self.model, mode, zeta, t_star)
-
-    def sample_trunc1(self, mode: int, z: float, t_cap: float, u: float):
-        """Truncated sojourn draw for 1-d states (fast constant-rate branch)."""
+        Survival is exp(-Lambda(t)) for t < t_cap; the remaining mass
+        exp(-Lambda(t_cap)) sits on t_cap itself and is flagged.
+        """
+        if t_cap <= 0.0:
+            return 0.0, True
         lam = self.lam_const[mode]
         if lam is not None:
-            if t_cap <= 0.0:
-                return 0.0, True
             if u < math.exp(-lam * t_cap):
                 return t_cap, True
             return -math.log(u) / lam, False
-        ipath = self.intensity_path(mode, (z,), t_cap if math.isfinite(t_cap) else 1.0)
-        return _sample_truncated(ipath, t_cap, u)
+        ipath = IntensityPath(self.model, mode, zeta, t_cap)
+        if u < math.exp(-float(ipath.cumulative(t_cap))):
+            return t_cap, True
+        return ipath.invert(-math.log(u), t_cap), False
 
-    def post_jump1(self, mode: int, z: float, u: float) -> tuple[int, float]:
-        fast = self.kernel_fast[mode]
-        if fast is not None:
-            for acc, a_mode, a_pos in fast:
-                if u < acc:
-                    return a_mode, a_pos[0]
-            return fast[-1][1], fast[-1][2][0]
-        atoms = self.model.kernel.atoms_at(mode, (z,))
-        acc = 0.0
-        for point, prob in atoms:
-            acc += prob
-            if u < acc:
-                return point.mode, point.zeta[0]
-        return atoms[-1][0].mode, atoms[-1][0].zeta[0]
+    def post_jump(self, mode: int, pre, u: float) -> tuple[int, tuple[float, ...], int]:
+        """Post-jump mode, position and atom index (within its kernel entry)
+        by inverse CDF over the kernel atoms at the pre-jump position: the
+        first atom whose cumulative probability exceeds u, the last one when
+        rounding leaves u uncovered."""
+        static = self.static_kernel[mode]
+        if static is None:
+            atoms = self.model.kernel.atoms_at(mode, pre)
+            cdf = list(accumulate(prob for _point, prob in atoms))
+            targets = [(point.mode, point.zeta, j) for j, (point, _prob) in enumerate(atoms)]
+        else:
+            cdf, targets = static
+        j = bisect_right(cdf, u)
+        return targets[j] if j < len(targets) else targets[-1]
 
-    def segment_cost(self, mode: int, zeta, seg: float, t_offset: float) -> float:
-        """Discounted running cost of one flow segment, discounted to time 0."""
-        if seg <= 0.0:
-            return 0.0
+    def segment_integral(self, mode: int, zeta, seg: float) -> float:
+        """Discounted running cost of one flow segment, by adaptive quadrature."""
         alpha = self.alpha
-        f0 = self.f_const[mode]
-        if f0 is not None:
-            if f0 == 0.0:
-                return 0.0
-            return math.exp(-alpha * t_offset) * f0 * (1.0 - math.exp(-alpha * seg)) / alpha
         model = self.model
 
         def integrand(s):
@@ -277,7 +225,7 @@ class _SimRuntime:
             return math.exp(-alpha * s) * model.costs.running_at(mode, pos)
 
         value, _err = quad(integrand, 0.0, seg, epsabs=1e-12, epsrel=1e-10, limit=200)
-        return math.exp(-alpha * t_offset) * value
+        return value
 
 
 _runtime_cache: "weakref.WeakKeyDictionary[PdmpModel, _SimRuntime]" = weakref.WeakKeyDictionary()
@@ -331,37 +279,109 @@ def cumulative_intensity(model: PdmpModel, x: StatePoint, t: float) -> float:
     return float(value)
 
 
-def _sample_truncated(ipath: IntensityPath, t_cap: float, u: float) -> tuple[float, bool]:
-    """Inverse-CDF sojourn draw truncated at t_cap, with an atom at t_cap.
-
-    Survival is exp(-cumulative(t)) for t < t_cap; the remaining mass
-    exp(-cumulative(t_cap)) sits on t_cap itself and is flagged.
-    """
-    if t_cap <= 0.0:
-        return 0.0, True
-    cap_mass = math.exp(-float(ipath.cumulative(t_cap)))
-    if u < cap_mass:
-        return float(t_cap), True
-    target = -math.log(u)
-    return ipath.invert(target, t_cap), False
-
-
 def sample_sojourn(model: PdmpModel, x: StatePoint, u: float) -> tuple[float, bool]:
     """Map one uniform draw to a sojourn time; flags a boundary hit."""
-    ts = hit_time(model, x)
-    ipath = _runtime(model).intensity_path(x.mode, np.asarray(x.zeta), ts)
-    return _sample_truncated(ipath, ts, u)
+    return _runtime(model).sample_sojourn(x.mode, x.zeta, hit_time(model, x), u)
 
 
 def sample_post_jump(model: PdmpModel, pre: StatePoint, u: float) -> StatePoint:
     """Select the post-jump state by inverse CDF over the kernel atoms at pre."""
-    atoms = model.kernel.atoms_at(pre.mode, pre.zeta)
-    acc = 0.0
-    for point, prob in atoms:
-        acc += prob
-        if u < acc:
-            return point
-    return atoms[-1][0]
+    mode, zeta, _atom = _runtime(model).post_jump(pre.mode, pre.zeta, u)
+    return StatePoint(mode, zeta)
+
+
+def _check_start(model: PdmpModel, mode: int, zeta) -> None:
+    """Reject a start point whose mode is undeclared, whose dimension differs
+    from the model's, or that is not interior to its region."""
+    region = model.modes.get(mode)
+    if region is None:
+        raise DomainError(f"start mode {mode} is not declared by the model")
+    if len(zeta) != model.dim:
+        raise DomainError(
+            f"start point {tuple(zeta)} has {len(zeta)} coordinates; "
+            f"the model has {model.dim}"
+        )
+    if not region.contains_interior(zeta):
+        raise DomainError(
+            f"start point (mode={mode}, zeta={tuple(zeta)}) is not interior to its region"
+        )
+
+
+def _raw_step(rt: _SimRuntime, table, mode: int, zeta: tuple[float, ...], budget: int,
+              rng: np.random.Generator):
+    """One jump of the budget-augmented process from (mode, zeta) at clock 0.
+
+    The sojourn is truncated at min(boundary-hit time, planned intervention
+    time r); the table is consulted only while the budget is positive, and a
+    waiting branch plans no intervention.  Returns (sojourn, kind, cap_hit,
+    pre-jump position, post mode, post position, post budget, index), where
+    index is the restart index of an intervention and the kernel-atom index
+    of a natural jump.
+    """
+    ts = rt.hit[mode](zeta)
+    intervene = False
+    if budget:
+        wait, r, y_idx = table.lookup(mode, zeta, budget)
+        intervene = not wait and r < ts
+    sojourn, cap_hit = rt.sample_sojourn(mode, zeta, r if intervene else ts, rng.random())
+    pre = rt.position[mode](zeta, sojourn)
+    if cap_hit and intervene:
+        if y_idx < 0:
+            raise PolicyCoverageError(
+                f"intervention scheduled at (mode={mode}, zeta={zeta}) with no restart"
+            )
+        y = table.control_set[y_idx]
+        return sojourn, INTERVENTION, True, pre, y.mode, y.zeta, budget - 1, y_idx
+    post_mode, post_pos, atom = rt.post_jump(mode, pre, rng.random())
+    return sojourn, NATURAL, cap_hit, pre, post_mode, post_pos, budget - 1 if budget else 0, atom
+
+
+def _run_path(model: PdmpModel, table, x0: StatePoint, budget: int, horizon: float,
+             rng: np.random.Generator, collect_events: bool):
+    """The path loop of the budget-augmented process, started at clock 0.
+
+    Running cost accrues up to the horizon (tail-truncation rule), exactly
+    for mode-wise constant running cost and by adaptive quadrature otherwise.
+    Intervention fees are never truncated, so stepping continues past the
+    horizon until the budget is spent.  Returns (running cost, discounted
+    fees, interventions, events); both lists hold (jump time, pre-jump mode,
+    pre-jump budget, step) records, and events stays empty unless
+    collect_events.
+    """
+    _check_start(model, x0.mode, x0.zeta)
+    rt = _runtime(model)
+    alpha, f_const = rt.alpha, rt.f_const
+    mode, zeta = x0.mode, x0.zeta
+    elapsed = running = fees = 0.0
+    interventions: list[tuple] = []
+    events: list[tuple] = []
+    n_jumps = 0
+    while True:
+        step = _raw_step(rt, table, mode, zeta, budget, rng)
+        sojourn, kind, _cap_hit, pre, post_mode, post_pos, post_budget, index = step
+        jump_time = elapsed + sojourn
+        seg = sojourn if jump_time < horizon else max(horizon - elapsed, 0.0)
+        f0 = f_const[mode]
+        if f0 is None:
+            if seg > 0.0:
+                running += math.exp(-alpha * elapsed) * rt.segment_integral(mode, zeta, seg)
+        elif f0 != 0.0 and seg > 0.0:
+            running += math.exp(-alpha * elapsed) * f0 * (1.0 - math.exp(-alpha * seg)) / alpha
+        if kind == INTERVENTION:
+            fee = model.costs.intervention(mode, pre, index)
+            fees += math.exp(-alpha * jump_time) * fee
+            interventions.append((jump_time, mode, budget, step))
+        if collect_events:
+            events.append((jump_time, mode, budget, step))
+        elapsed = jump_time
+        mode, zeta, budget = post_mode, post_pos, post_budget
+        n_jumps += 1
+        if n_jumps > MAX_JUMPS:
+            raise NumericalError(
+                f"more than {MAX_JUMPS} jumps; the model looks numerically explosive"
+            )
+        if elapsed >= horizon and budget == 0:
+            return running, fees, interventions, events
 
 
 def simulate_uncontrolled(
@@ -373,79 +393,19 @@ def simulate_uncontrolled(
 ) -> PathRecord:
     """Simulate the process without interventions up to the horizon.
 
-    Each step draws one uniform for the sojourn and, when a jump lands before
-    the horizon, one for the post-jump atom.  Segment running costs are exact
-    for mode-wise constant running cost, adaptive quadrature otherwise.
+    This is the budget-augmented process at budget 0.  Each step draws one
+    uniform for the sojourn and one for the post-jump atom; events at or past
+    the horizon are dropped.
     """
     if horizon <= 0:
         raise DomainError("horizon must be positive")
-    rt = _runtime(model)
-    if rt.d1:
-        return _simulate_uncontrolled_1d(rt, x0, horizon, rng, collect_events)
-    events: list[JumpEvent] = []
-    mode, zeta = x0.mode, np.asarray(x0.zeta, dtype=float)
-    elapsed = 0.0
-    cost = 0.0
-    n_jumps = 0
-    while True:
-        ts = model.flow.hit_time(mode, zeta)
-        ipath = rt.intensity_path(mode, zeta, ts)
-        sojourn, hit = _sample_truncated(ipath, ts, rng.random())
-        seg = min(sojourn, horizon - elapsed)
-        cost += rt.segment_cost(mode, zeta, seg, elapsed)
-        if elapsed + sojourn >= horizon:
-            break
-        pre_pos = np.asarray(model.flow.position(mode, zeta, sojourn))
-        pre = StatePoint(mode, tuple(float(v) for v in pre_pos))
-        post = sample_post_jump(model, pre, rng.random())
-        elapsed += sojourn
-        if collect_events:
-            events.append(JumpEvent(elapsed, sojourn, pre, post, hit))
-        mode, zeta = post.mode, np.asarray(post.zeta, dtype=float)
-        n_jumps += 1
-        if n_jumps > MAX_JUMPS:
-            raise NumericalError(
-                f"more than {MAX_JUMPS} jumps before the horizon; "
-                "the model looks numerically explosive"
-            )
-    return PathRecord(x0, tuple(events), horizon, cost)
-
-
-def _simulate_uncontrolled_1d(rt: _SimRuntime, x0: StatePoint, horizon: float,
-                              rng: np.random.Generator,
-                              collect_events: bool) -> PathRecord:
-    events: list[JumpEvent] = []
-    mode, z = x0.mode, x0.zeta[0]
-    elapsed = 0.0
-    cost = 0.0
-    n_jumps = 0
-    alpha = rt.alpha
-    rand = rng.random
-    while True:
-        ts = rt.hit1[mode](z)
-        sojourn, hit = rt.sample_trunc1(mode, z, ts, rand())
-        seg = sojourn if elapsed + sojourn < horizon else horizon - elapsed
-        f0 = rt.f_const[mode]
-        if f0 is not None:
-            if f0 != 0.0 and seg > 0.0:
-                cost += math.exp(-alpha * elapsed) * f0 * (1.0 - math.exp(-alpha * seg)) / alpha
-        else:
-            cost += rt.segment_cost(mode, (z,), seg, elapsed)
-        if elapsed + sojourn >= horizon:
-            break
-        z_pre = rt.pos1[mode](z, sojourn)
-        new_mode, new_z = rt.post_jump1(mode, z_pre, rand())
-        elapsed += sojourn
-        if collect_events:
-            events.append(
-                JumpEvent(elapsed, sojourn, StatePoint(mode, (z_pre,)),
-                          StatePoint(new_mode, (new_z,)), hit)
-            )
-        mode, z = new_mode, new_z
-        n_jumps += 1
-        if n_jumps > MAX_JUMPS:
-            raise NumericalError(
-                f"more than {MAX_JUMPS} jumps before the horizon; "
-                "the model looks numerically explosive"
-            )
-    return PathRecord(x0, tuple(events), horizon, cost)
+    running, _fees, _interventions, steps = _run_path(model, None, x0, 0, horizon, rng,
+                                                     collect_events)
+    events = tuple(
+        JumpEvent(time, sojourn, StatePoint(mode, pre), StatePoint(post_mode, post_pos),
+                  cap_hit)
+        for time, mode, _budget, (sojourn, _kind, cap_hit, pre, post_mode, post_pos,
+                                  _post_budget, _atom) in steps
+        if time < horizon
+    )
+    return PathRecord(x0, events, horizon, running)

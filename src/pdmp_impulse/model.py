@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
@@ -70,12 +71,55 @@ class ModeRegion:
         )
 
 
+def _coordinate_flow(family: str, p: dict[str, np.ndarray], lo: float, hi: float,
+                     i: int):
+    """Scalar (hit, position) closures of coordinate i, on position tuples.
+
+    ``hit(zeta)`` is the time coordinate i leaves (lo, hi), or the closure is
+    None when it never does.  ``position(zeta, t)`` returns the coordinate's
+    one-element slice of the flowed position tuple, so a one-dimensional mode
+    uses it as its whole position map.
+    """
+    if family == "constant-drift":
+        v = float(p["velocity"][i])
+        hit = None
+        if v > 0:
+            hit = lambda z: (hi - z[i]) / v
+        elif v < 0:
+            hit = lambda z: (z[i] - lo) / (-v)
+        return hit, lambda z, t: (z[i] + v * t,)
+    g, r = float(p["target"][i]), float(p["rate"][i])
+    if family == "linear-decay-to-target":
+        # A target on the boundary itself is still reached in finite time.
+        hit = None
+        if g <= lo:
+            hit = lambda z: (z[i] - lo) / r
+        elif g >= hi:
+            hit = lambda z: (hi - z[i]) / r
+
+        def position(z, t):
+            delta = z[i] - g
+            mag = abs(delta) - r * t
+            return (g,) if mag <= 0.0 else (g + math.copysign(mag, delta),)
+
+        return hit, position
+    hit = None
+    if g < lo:
+        hit = lambda z: math.log((z[i] - g) / (lo - g)) / r
+    elif g > hi:
+        hit = lambda z: math.log((g - z[i]) / (g - hi)) / r
+    return hit, lambda z, t: (g + (z[i] - g) * math.exp(-r * t),)
+
+
 class FlowRuntime:
     """Closed-form flow evaluation and boundary-hit times for one model.
 
     All three supported families act independently per coordinate and satisfy
     the semigroup identity exactly, so positions and hit times are pure
-    arithmetic with no ODE solves.
+    arithmetic with no ODE solves.  ``hit_fn[mode](zeta)`` and
+    ``position_fn[mode](zeta, t)`` are the scalar maps on position tuples that
+    every simulation step uses; ``position`` is the vectorized form used
+    along flow profiles.
     """
 
     def __init__(self, family: str, params: dict[int, dict[str, np.ndarray]],
@@ -83,6 +127,24 @@ class FlowRuntime:
         self.family = family
         self.params = params
         self.regions = regions
+        self.hit_fn = {}
+        self.position_fn = {}
+        for m, region in regions.items():
+            coords = [_coordinate_flow(family, params[m], lo, hi, i)
+                      for i, (lo, hi) in enumerate(zip(region.lower, region.upper))]
+            hits = tuple(hit for hit, _ in coords if hit is not None)
+            positions = tuple(position for _, position in coords)
+            if not hits:
+                self.hit_fn[m] = lambda z: math.inf
+            elif len(hits) == 1:
+                self.hit_fn[m] = hits[0]
+            else:
+                self.hit_fn[m] = lambda z, hits=hits: min(hit(z) for hit in hits)
+            if len(positions) == 1:
+                self.position_fn[m] = positions[0]
+            else:
+                self.position_fn[m] = lambda z, t, positions=positions: tuple(
+                    v for position in positions for v in position(z, t))
 
     def position(self, mode: int, zeta: Sequence[float], t):
         """Flow position after time t; t may be a scalar or an array (n,)."""
@@ -102,35 +164,7 @@ class FlowRuntime:
 
     def hit_time(self, mode: int, zeta: Sequence[float]) -> float:
         """Exact first time the flow leaves the open region (inf if never)."""
-        z = np.asarray(zeta, dtype=float)
-        region = self.regions[mode]
-        lo = np.asarray(region.lower)
-        hi = np.asarray(region.upper)
-        p = self.params[mode]
-        best = np.inf
-        if self.family == "constant-drift":
-            v = p["velocity"]
-            for i in range(len(z)):
-                if v[i] > 0:
-                    best = min(best, (hi[i] - z[i]) / v[i])
-                elif v[i] < 0:
-                    best = min(best, (z[i] - lo[i]) / (-v[i]))
-        elif self.family == "linear-decay-to-target":
-            # A target on the boundary itself is still reached in finite time.
-            g, r = p["target"], p["rate"]
-            for i in range(len(z)):
-                if g[i] <= lo[i]:
-                    best = min(best, (z[i] - lo[i]) / r[i])
-                elif g[i] >= hi[i]:
-                    best = min(best, (hi[i] - z[i]) / r[i])
-        else:
-            g, r = p["target"], p["rate"]
-            for i in range(len(z)):
-                if g[i] < lo[i]:
-                    best = min(best, np.log((z[i] - g[i]) / (lo[i] - g[i])) / r[i])
-                elif g[i] > hi[i]:
-                    best = min(best, np.log((g[i] - z[i]) / (g[i] - hi[i])) / r[i])
-        return float(best)
+        return float(self.hit_fn[mode](zeta))
 
 
 @dataclass(frozen=True)

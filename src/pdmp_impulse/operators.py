@@ -15,7 +15,6 @@ the flow from one state.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -120,12 +119,14 @@ class LscriptResult:
 
 @dataclass(frozen=True)
 class AtomRecord:
-    """Kernel atom evaluated along a batch of pre-jump positions."""
+    """Kernel atom evaluated along a batch of pre-jump positions; ``atom`` is
+    its index within the kernel entry that claimed them."""
 
     indices: np.ndarray
     mode: int
     positions: np.ndarray
     prob: float
+    atom: int
 
 
 def collect_atom_records(model: PdmpModel, mode: int,
@@ -146,8 +147,8 @@ def collect_atom_records(model: PdmpModel, mode: int,
             continue
         idx = np.nonzero(mask)[0]
         sub = pos[idx]
-        for atom in entry.atoms:
-            records.append(AtomRecord(idx, atom.mode, atom.positions(sub), atom.prob))
+        for j, atom in enumerate(entry.atoms):
+            records.append(AtomRecord(idx, atom.mode, atom.positions(sub), atom.prob, j))
         claimed |= mask
     if not claimed.all():
         k = int(np.argmin(claimed))
@@ -207,8 +208,9 @@ class FlowProfile:
                     a_mode,
                     np.broadcast_to(np.asarray(a_pos), (self.s.size, len(a_pos))),
                     prob,
+                    j,
                 )
-                for a_mode, a_pos, prob in self.static_atoms
+                for j, (a_mode, a_pos, prob) in enumerate(self.static_atoms)
             ]
 
     # -- building blocks -------------------------------------------------
@@ -520,14 +522,3 @@ def op_Lscript(model: PdmpModel, w, x: StatePoint, eps: float,
     return LscriptResult(value=float(value), branch=BRANCH_INTERVENE,
                          wait_value=float(wait), detail=detail)
 
-
-def dump_j_curve(model: PdmpModel, v, w, x: StatePoint, path,
-                 n_t: int = 512) -> None:
-    """Write the intervention-value curve at x to CSV (columns: t, J)."""
-    profile = FlowProfile(model, x, n_t=n_t)
-    curve = JCurve(profile, v, w)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "J"])
-        for t, val in zip(curve.tgrid, curve.values):
-            writer.writerow([repr(float(t)), repr(float(val))])

@@ -11,6 +11,7 @@ and restart target.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -64,6 +65,20 @@ def _cell_weights(axes: tuple[np.ndarray, ...], pos: np.ndarray):
     return flat, coef
 
 
+def _coverage_box(lo, hi) -> tuple[list[float], list[float]]:
+    """Coverage bounds widened by the slack that absorbs rounding at the
+    region boundary; queries inside them are served, others extrapolate."""
+    slack = [1e-9 * max(1.0, h - l) for l, h in zip(lo, hi)]
+    return ([l - s for l, s in zip(lo, slack)],
+            [h + s for h, s in zip(hi, slack)])
+
+
+def _node_mesh(axes: tuple[np.ndarray, ...]) -> np.ndarray:
+    """All nodes of one mode's grid as an (n, d) array, last axis fastest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=-1)
+
+
 class FunctionStore:
     """Evaluable function on the state space: per-mode grids, multilinear
     interpolation, and a sup-norm bound.
@@ -91,18 +106,12 @@ class FunctionStore:
     def modes(self):
         return tuple(self.axes)
 
-    def node_states(self, mode: int) -> np.ndarray:
-        """All grid nodes of one mode as an (n, d) position array."""
-        mesh = np.meshgrid(*self.axes[mode], indexing="ij")
-        return np.stack([g.ravel() for g in mesh], axis=-1)
-
     def _check_coverage(self, mode: int, pos: np.ndarray):
         if mode not in self.axes:
             raise ExtrapolationError(f"mode {mode} not covered by this store")
-        lo, hi = self.coverage[mode]
-        slack = [1e-9 * max(1.0, h - l) for l, h in zip(lo, hi)]
-        below = pos < (np.asarray(lo) - np.asarray(slack))
-        above = pos > (np.asarray(hi) + np.asarray(slack))
+        lo, hi = _coverage_box(*self.coverage[mode])
+        below = pos < np.asarray(lo)
+        above = pos > np.asarray(hi)
         if below.any() or above.any():
             k = int(np.argmax((below | above).any(axis=1)))
             raise ExtrapolationError(
@@ -188,8 +197,7 @@ class GridOperator:
             shape = tuple(len(a) for a in axes[m])
             self.mode_offsets[m] = offset
             self.mode_shapes[m] = shape
-            mesh = np.meshgrid(*axes[m], indexing="ij")
-            pos = np.stack([g.ravel() for g in mesh], axis=-1)
+            pos = _node_mesh(axes[m])
             nodes.extend(StatePoint(m, tuple(p)) for p in pos)
             offset += pos.shape[0]
         self.nodes = nodes
@@ -284,6 +292,7 @@ class PolicyTable:
     h: FunctionStore
     stages: list[PolicyStage] = field(default_factory=list)
     grid_spec: dict | None = None
+    _lists: dict = field(default_factory=dict, init=False, repr=False)
 
     def value_store(self, k: int) -> FunctionStore:
         if k == 0:
@@ -300,8 +309,71 @@ class PolicyTable:
         return self.stages[k - 1]
 
     def node_positions(self, mode: int) -> np.ndarray:
-        mesh = np.meshgrid(*self.axes[mode], indexing="ij")
-        return np.stack([g.ravel() for g in mesh], axis=-1)
+        return _node_mesh(self.axes[mode])
+
+    def lookup(self, mode: int, zeta, budget: int) -> tuple[bool, float, int]:
+        """Waiting flag, intervention time r and restart index for budget >= 1.
+
+        The branch and the restart index are the nearest node's, the lowest
+        cell corner winning ties.  r interpolates over the corners on that
+        branch: the plain multilinear sum when all corners agree, the stored r
+        when the nearest node agrees alone, else the weights renormalised over
+        the agreeing corners.  Grids and branch fields are cached as plain
+        lists on first use.
+        """
+        fields = self._lists.get((budget, mode))
+        if fields is None:
+            fields = self._lists[(budget, mode)] = self._plain_lists(mode, budget)
+        axes, offsets, waits, rs, ys = fields
+        if len(zeta) != len(axes):
+            raise ExtrapolationError(
+                f"query {tuple(zeta)} has {len(zeta)} coordinates; the table has {len(axes)}"
+            )
+        base = 0
+        coefs = [1.0]
+        for z, (axis, stride, last, z_lo, z_hi) in zip(zeta, axes):
+            if not z_lo <= z <= z_hi:
+                raise ExtrapolationError(
+                    f"query (mode={mode}, zeta={tuple(zeta)}) outside grid coverage"
+                )
+            i = bisect.bisect_right(axis, z) - 1
+            if i < 0:
+                i = 0
+            elif i > last:
+                i = last
+            t = (z - axis[i]) / (axis[i + 1] - axis[i])
+            base += i * stride
+            coefs = [c * f for f in (1.0 - t, t) for c in coefs]
+        nearest = base + offsets[coefs.index(max(coefs))]
+        wait = waits[nearest]
+        total = weight = 0.0
+        agreeing = 0
+        for offset, c in zip(offsets, coefs):
+            if waits[base + offset] == wait:
+                total += rs[base + offset] * c
+                weight += c
+                agreeing += 1
+        if agreeing == len(coefs):
+            r = total
+        elif agreeing == 1:
+            r = rs[nearest]
+        else:
+            r = total / weight
+        return wait, r, ys[nearest]
+
+    def _plain_lists(self, mode: int, budget: int):
+        if mode not in self.axes:
+            raise ExtrapolationError(f"mode {mode} not covered by the policy table")
+        stage = self._stage(budget)
+        lists = [a.tolist() for a in self.axes[mode]]
+        lo, hi = _coverage_box(*self.coverage[mode])
+        strides = [math.prod(len(a) for a in lists[k + 1:]) for k in range(len(lists))]
+        offsets = [0]
+        for stride in strides:
+            offsets = offsets + [o + stride for o in offsets]
+        axes = list(zip(lists, strides, [len(a) - 2 for a in lists], lo, hi))
+        return (axes, offsets, stage.wait[mode].ravel().tolist(),
+                stage.r[mode].ravel().tolist(), stage.y_index[mode].ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -364,17 +436,13 @@ def value_iterate(model: PdmpModel, h: FunctionStore, n_max: int, eps: float,
             _val, y_vec[i] = reloc.eval_with_argmin(x.mode, stop)
         table.stages.append(
             PolicyStage(
-                wait=gop.split(wait_flags.astype(float)),
+                wait=gop.split(wait_flags),
                 r=gop.split(r_vec),
-                y_index=gop.split(y_vec.astype(float)),
+                y_index=gop.split(y_vec),
                 value=gop.split(new_vec),
             )
         )
         prev_vec = new_vec
-    # Store booleans/ints with their natural dtypes.
-    for stage in table.stages:
-        stage.wait = {m: v.astype(bool) for m, v in stage.wait.items()}
-        stage.y_index = {m: v.astype(np.int64) for m, v in stage.y_index.items()}
     return table
 
 
@@ -382,47 +450,19 @@ def policy_query(table: PolicyTable, x: StatePoint, N: int,
                  model: PdmpModel | None = None) -> PolicyQueryResult:
     """Intervention time, restart point and branch for budget N at state x.
 
-    Budget 0 never intervenes.  The branch flag is categorical (nearest
-    node); the intervention time interpolates only among equal-branch cell
-    corners, and on the waiting branch equals the exact boundary-hit time.
+    Budget 0 never intervenes.  Otherwise this is :meth:`PolicyTable.lookup`,
+    the rule the simulator follows; given the model, the waiting branch
+    reports the exact boundary-hit time at x.
     """
     if N < 0 or N > table.n_max:
         raise PolicyCoverageError(f"budget {N} outside table range 0..{table.n_max}")
     if N == 0:
         return PolicyQueryResult(math.inf, None, BRANCH_NONE)
-    if x.mode not in table.axes:
-        raise ExtrapolationError(f"mode {x.mode} not covered by the policy table")
-    pos = np.asarray(x.zeta, dtype=float)[None, :]
-    lo, hi = table.coverage[x.mode]
-    slack = [1e-9 * max(1.0, h - l) for l, h in zip(lo, hi)]
-    if (pos[0] < np.asarray(lo) - np.asarray(slack)).any() or (
-        pos[0] > np.asarray(hi) + np.asarray(slack)
-    ).any():
-        raise ExtrapolationError(f"query {x} outside grid coverage")
-    stage = table._stage(N)
-    axes = table.axes[x.mode]
-    flat, coef = _cell_weights(axes, pos)
-    flat = flat[0]
-    coef = coef[0]
-    wait_corners = stage.wait[x.mode].ravel()[flat]
-    r_corners = stage.r[x.mode].ravel()[flat]
-    nearest_slot = int(np.argmax(coef))
-    nearest = int(flat[nearest_slot])
-    nearest_wait = bool(stage.wait[x.mode].ravel()[nearest])
-    same = wait_corners == nearest_wait
-    weights = np.where(same, coef, 0.0)
-    total = float(weights.sum())
-    if total > 0:
-        r = float((r_corners * weights).sum() / total)
-    else:
-        r = float(stage.r[x.mode].ravel()[nearest])
-    if nearest_wait:
+    wait, r, y_idx = table.lookup(x.mode, x.zeta, N)
+    if wait:
         if model is not None:
-            # Keep the invariant exactly: on the waiting branch the
-            # intervention time is the boundary-hit time at the query point.
             r = model.flow.hit_time(x.mode, x.zeta)
         return PolicyQueryResult(float(r), None, BRANCH_WAIT)
-    y_idx = int(stage.y_index[x.mode].ravel()[nearest])
     return PolicyQueryResult(float(r), table.control_set[y_idx], BRANCH_INTERVENE)
 
 

@@ -201,3 +201,16 @@ def test_bad_x0_argument(cli_workspace):
         "--x0", "oops", "--n0", "0", "--replicates", "100",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("x0", ["3:2.0", "1:2.0,3.0", "1:12.0"])
+def test_simulate_bad_start_point_exit_code(cli_workspace, tmp_path, capsys, x0):
+    code = run_cli(
+        "simulate", "--model", MODEL_PATH, "--out", tmp_path,
+        "--artifact", cli_workspace / "policy.pdmpval",
+        "--x0", x0, "--n0", "0,1", "--replicates", "100",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "start" in err and "Traceback" not in err
+    assert not (tmp_path / "cost_report.csv").exists()

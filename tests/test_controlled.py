@@ -18,8 +18,10 @@ from pdmp_impulse.controlled import (
 )
 from pdmp_impulse.dynamics import default_horizon, hit_time, simulate_uncontrolled
 from pdmp_impulse.errors import DomainError, PolicyCoverageError
-from pdmp_impulse.model import as_state
-from pdmp_impulse.valuefn import policy_query
+from pdmp_impulse.model import StatePoint, as_state, load_model
+from pdmp_impulse.valuefn import GridSpec, compute_h, policy_query, value_iterate
+
+from conftest import rm1_doc
 
 
 # ---------------------------------------------------------------------------
@@ -312,3 +314,62 @@ def test_markov_check_budget_one_second_intervention_never_happens(rm1, rm1_tabl
     report = check_intervention_markov(as_state(1, 2.0), 1, rm1_table, rm1,
                                        replicates=400, seed=10, i=2)
     assert report.passed
+
+
+# ---------------------------------------------------------------------------
+# Start-point checks
+
+
+class _UnusedStream:
+    """Generator stand-in that fails the test if a path draws from it."""
+
+    def random(self):
+        raise AssertionError("a path ran before the start point was checked")
+
+
+@pytest.mark.parametrize("x0", [
+    as_state(3, 2.0),                 # undeclared mode
+    StatePoint(1, (2.0, 3.0)),        # wrong dimension
+    as_state(1, 12.0),                # outside the region
+    as_state(1, 10.0),                # on the boundary
+])
+def test_bad_start_point_rejected_before_any_path(rm1, rm1_table, x0):
+    horizon = default_horizon(rm1)
+    for n0 in (0, 1):
+        with pytest.raises(DomainError):
+            simulate_controlled(x0, n0, rm1_table, rm1, _UnusedStream())
+        with pytest.raises(DomainError):
+            estimate_cost_J(x0, n0, rm1_table, rm1, replicates=10, seed=0)
+    with pytest.raises(DomainError):
+        simulate_uncontrolled(rm1, x0, horizon, _UnusedStream())
+    with pytest.raises(DomainError):
+        check_joint_law(x0, 1, rm1_table, rm1, replicates=100, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# First-transition law beyond constant intensity and a single kernel entry
+
+
+def test_joint_law_affine_intensity_region_split_kernel():
+    """Interior atom masses come from the region-split kernel claim; the
+    sampler must pick atoms with the same hazard-weighted frequencies."""
+    doc = rm1_doc()
+    doc["intensity"] = {"1": "0.1 + 0.05*zeta[0]", "2": "1.0"}
+    doc["intensity_bound"] = 1.0
+    doc["kernel"] = [
+        {"from_mode": 1, "region": [[0.0, 5.0]],
+         "atoms": [{"mode": 2, "zeta": ["5.0"], "prob": 0.3},
+                   {"mode": 2, "zeta": ["7.0"], "prob": 0.7}]},
+        {"from_mode": 1, "region": [[5.0, 10.0]],
+         "atoms": [{"mode": 2, "zeta": ["3.0"], "prob": 0.6},
+                   {"mode": 2, "zeta": ["8.0"], "prob": 0.4}]},
+    ] + [e for e in doc["kernel"] if e["from_mode"] == 2]
+    model = load_model(doc)
+    h = compute_h(model, GridSpec(density=60, extra_points={1: ((7.0,),)}), tol=1e-9)
+    table = value_iterate(model, h, n_max=1, eps=0.01)
+    x0 = as_state(1, 7.0)  # the flow crosses the kernel split at 5.0
+    for n0, seed in ((0, 11), (1, 12)):
+        report = check_joint_law(x0, n0, table, model, replicates=5000, seed=seed)
+        names = {r.name for r in report.rows}
+        assert {"interior_atom_0", "interior_atom_1"} <= names
+        assert report.max_abs_dev < 4.0

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from pdmp_impulse.controlled import estimate_cost_J, simulate_controlled
+from pdmp_impulse.controlled import (
+    INTERVENTION,
+    AugmentedState,
+    aug_step,
+    estimate_cost_J,
+    simulate_controlled,
+)
 from pdmp_impulse.dynamics import (
     cumulative_intensity,
     default_horizon,
@@ -14,6 +20,7 @@ from pdmp_impulse.dynamics import (
     hit_time,
     simulate_uncontrolled,
 )
+from pdmp_impulse.errors import DomainError
 from pdmp_impulse.model import StatePoint, as_state, load_model, validate_model
 from pdmp_impulse.operators import ConstantEvaluable, op_F, op_K
 from pdmp_impulse.valuefn import GridSpec, compute_h, policy_query, value_iterate
@@ -128,3 +135,73 @@ def test_nonconstant_running_cost_segments():
         clock = event.time
     total += segment(current.mode, current.zeta, clock, horizon - clock)
     assert rec.discounted_running_cost == pytest.approx(total, abs=1e-9)
+
+
+def _planar_variant(planar_model, running: str, density: int):
+    doc = dict(planar_model.doc)
+    doc["costs"] = dict(doc["costs"], running={"1": running}, running_bound=2.2)
+    model = load_model(doc)
+    spec = GridSpec(density=density, extra_points={1: ((3.0, 4.0),)})
+    h = compute_h(model, spec, tol=1e-9, n_t=192)
+    return model, value_iterate(model, h, n_max=1, eps=0.02, n_t=192)
+
+
+@pytest.fixture(scope="module")
+def intervening_planar(planar_model):
+    """Running cost falling along the flow: about a third of the nodes
+    relocate at once (r = 0)."""
+    return _planar_variant(planar_model, "0.2 + 0.5*zeta[0]", 24)
+
+
+@pytest.fixture(scope="module")
+def delayed_intervening_planar(planar_model):
+    """Running cost rising along the flow: many nodes plan a relocation
+    after a positive time."""
+    return _planar_variant(planar_model, "2.2 - 0.5*zeta[0]", 12)
+
+
+def test_planar_intervening_policy_cost_identity(intervening_planar):
+    model, table = intervening_planar
+    assert 0 < int((~table.stages[0].wait[1]).sum()) < table.stages[0].wait[1].size
+    x0 = as_state(1, (3.0, 4.0))
+    est = estimate_cost_J(x0, 1, table, model, replicates=4000, seed=9)
+    assert abs(est.mean - table.value(1, x0)) < 4 * est.std_error + 2e-6
+
+
+@pytest.mark.parametrize("variant", ["intervening_planar", "delayed_intervening_planar"])
+def test_planar_intervention_time_is_policy_query_r(request, variant):
+    """Off-node steps intervene exactly at the time policy_query reports."""
+    model, table = request.getfixturevalue(variant)
+    rng = np.random.default_rng(2401)
+    sojourns = []
+    for _ in range(60):
+        zeta = (0.1 + 3.8 * rng.random(), 0.1 + 5.8 * rng.random())
+        res = policy_query(table, as_state(1, zeta), 1, model=model)
+        for rep in range(5):
+            _post, event = aug_step(AugmentedState(1, zeta, 1, 0.0), table, model,
+                                    np.random.default_rng([2402, rep]))
+            if event.kind == INTERVENTION:
+                sojourns.append(event.sojourn)
+                assert event.sojourn == res.r
+    assert sojourns
+    if variant == "delayed_intervening_planar":
+        assert max(sojourns) > 0.0
+
+
+@pytest.mark.parametrize("x0", [
+    StatePoint(2, (3.0, 4.0)),        # undeclared mode
+    StatePoint(1, (3.0,)),            # wrong dimension
+    StatePoint(1, (3.0, 4.0, 1.0)),   # wrong dimension
+    StatePoint(1, (5.0, 4.0)),        # outside the region
+    StatePoint(1, (0.0, 4.0)),        # on the boundary
+])
+def test_planar_bad_start_point_rejected(planar_model, x0):
+    spec = GridSpec(density=6)
+    h = compute_h(planar_model, spec, tol=1e-9, n_t=64)
+    table = value_iterate(planar_model, h, n_max=1, eps=0.02, n_t=64)
+    for n0 in (0, 1):
+        with pytest.raises(DomainError):
+            estimate_cost_J(x0, n0, table, planar_model, replicates=10, seed=0)
+    with pytest.raises(DomainError):
+        simulate_uncontrolled(planar_model, x0, default_horizon(planar_model),
+                              np.random.default_rng(0))

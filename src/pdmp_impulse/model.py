@@ -147,19 +147,27 @@ class FlowRuntime:
                     v for position in positions for v in position(z, t))
 
     def position(self, mode: int, zeta: Sequence[float], t):
-        """Flow position after time t; t may be a scalar or an array (n,)."""
+        """Flow position after time t.
+
+        zeta is one position (d,) or a stack of positions (..., d); its
+        leading axes broadcast against t, a scalar or an array.
+        """
         z = np.asarray(zeta, dtype=float)
         t_arr = np.asarray(t, dtype=float)
-        tt = t_arr[..., None] if t_arr.ndim else t_arr
         p = self.params[mode]
-        if self.family == "constant-drift":
-            out = z + p["velocity"] * tt
-        elif self.family == "linear-decay-to-target":
-            delta = z - p["target"]
-            out = p["target"] + np.sign(delta) * np.maximum(np.abs(delta) - p["rate"] * tt, 0.0)
-        else:  # exponential-decay-to-target
-            delta = z - p["target"]
-            out = p["target"] + delta * np.exp(-p["rate"] * tt)
+        # Coordinate by coordinate, so that numpy loops run along the times.
+        out = np.empty(np.broadcast_shapes(z.shape[:-1], t_arr.shape) + z.shape[-1:])
+        for i in range(z.shape[-1]):
+            zi = z[..., i]
+            if self.family == "constant-drift":
+                out[..., i] = zi + p["velocity"][i] * t_arr
+                continue
+            g, r = p["target"][i], p["rate"][i]
+            delta = zi - g
+            if self.family == "linear-decay-to-target":
+                out[..., i] = g + np.sign(delta) * np.maximum(np.abs(delta) - r * t_arr, 0.0)
+            else:  # exponential-decay-to-target
+                out[..., i] = g + delta * np.exp(-r * t_arr)
         return out
 
     def hit_time(self, mode: int, zeta: Sequence[float]) -> float:

@@ -81,15 +81,21 @@ class MinRelocationValue:
     def eval(self, x: StatePoint) -> float:
         return self.eval_with_argmin(x.mode, x.zeta)[0]
 
-    def eval_many(self, mode: int, pos: np.ndarray) -> np.ndarray:
-        stacked = np.stack(
+    def _stacked(self, mode: int, pos: np.ndarray) -> np.ndarray:
+        return np.stack(
             [
                 self.model.costs.intervention_along(mode, pos, j) + self.phi[j]
                 for j in range(len(self.phi))
             ],
             axis=0,
         )
-        return stacked.min(axis=0)
+
+    def eval_many(self, mode: int, pos: np.ndarray) -> np.ndarray:
+        return self._stacked(mode, pos).min(axis=0)
+
+    def argmin_many(self, mode: int, pos: np.ndarray) -> np.ndarray:
+        """Best control index at each position; ties resolve to the lowest."""
+        return self._stacked(mode, pos).argmin(axis=0)
 
 
 def eval_many(w, mode: int, pos: np.ndarray) -> np.ndarray:

@@ -1,4 +1,8 @@
-"""Gauss-Legendre panel quadrature on time grids along the flow."""
+"""Gauss-Legendre panel quadrature on time grids along the flow.
+
+Every function takes one time grid per row: a 1-d grid, or a stack of grids
+along the leading axes, with the quadrature nodes along the last axis.
+"""
 
 from __future__ import annotations
 
@@ -14,26 +18,27 @@ def panel_nodes(tgrid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     With ``s, w = panel_nodes(tgrid)``, the integral of f over
     ``[tgrid[0], tgrid[k]]`` is ``(w * f(s))[: k * GL_ORDER].sum()``.
     """
-    a = tgrid[:-1]
-    b = tgrid[1:]
+    a = tgrid[..., :-1]
+    b = tgrid[..., 1:]
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    s = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
-    w = (half[:, None] * _GL_W[None, :]).ravel()
+    rows = tgrid.shape[:-1] + (-1,)
+    s = (mid[..., None] + half[..., None] * _GL_X).reshape(rows)
+    w = (half[..., None] * _GL_W).reshape(rows)
     return s, w
 
 
 def panel_cumulative(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Cumulative integrals at panel boundaries; index 0 holds 0."""
-    contrib = (values * weights).reshape(-1, GL_ORDER).sum(axis=1)
-    out = np.empty(contrib.size + 1)
-    out[0] = 0.0
-    np.cumsum(contrib, out=out[1:])
+    contrib = (values * weights).reshape(values.shape[:-1] + (-1, GL_ORDER)).sum(axis=-1)
+    out = np.empty(contrib.shape[:-1] + (contrib.shape[-1] + 1,))
+    out[..., 0] = 0.0
+    np.cumsum(contrib, axis=-1, out=out[..., 1:])
     return out
 
 
-def interval_nodes(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """GL nodes and weights for a single interval [a, b]."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return mid + half * _GL_X, half * _GL_W
+def interval_nodes(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """GL nodes and weights for the intervals [a, b], one row per interval."""
+    half = np.asarray(0.5 * (b - a))
+    mid = np.asarray(0.5 * (a + b))
+    return mid[..., None] + half[..., None] * _GL_X, half[..., None] * _GL_W

@@ -18,6 +18,31 @@ def rm1_doc() -> dict:
     return json.loads(MODEL_PATH.read_text())
 
 
+def planar_doc() -> dict:
+    """Two-dimensional model: one mode, constant drift toward the origin."""
+    return {
+        "modes": [{"id": 1, "bounds": [[0.0, 4.0], [0.0, 6.0]]}],
+        "flow": {"family": "constant-drift",
+                 "params": {"1": {"velocity": [-1.0, -0.5]}}},
+        "intensity": {"1": "0.3"},
+        "intensity_bound": 0.3,
+        "kernel": [
+            {"from_mode": 1, "region": None,
+             "atoms": [{"mode": 1, "zeta": ["2.0", "3.0"], "prob": 1.0}]}
+        ],
+        "costs": {
+            "running": {"1": "0.7"},
+            "running_bound": 0.7,
+            "intervention": {"kind": "constant", "value": 0.5},
+            "intervention_bounds": [0.5, 0.5],
+        },
+        "control_set": [{"mode": 1, "zeta": [3.0, 5.0]},
+                        {"mode": 1, "zeta": [1.0, 1.0]}],
+        "discount": 0.5,
+        "t_star_bound": 12.0,
+    }
+
+
 @pytest.fixture(scope="session")
 def rm1():
     return load_model(MODEL_PATH)

@@ -56,3 +56,54 @@ def test_format_tag_guard(tmp_path, rm1_table):
     path.write_text(json.dumps(payload))
     with pytest.raises(ArtifactMismatchError, match="format"):
         load_policy(path)
+
+
+def _drop_stages(payload):
+    del payload["stages"]
+
+
+def _truncate_value(payload):
+    payload["stages"][0]["1"]["value"].pop()
+
+
+def _restart_index_out_of_range(payload):
+    payload["stages"][0]["1"]["y_index"][0] = 7
+
+
+def _nan_r(payload):
+    payload["stages"][0]["2"]["r"][3] = float("nan")
+
+
+def _drop_control_point(payload):
+    payload["control_set"].pop()
+
+
+def _shorten_h_axis(payload):
+    payload["h"]["1"]["axes"][0].pop()
+
+
+def _stage_count_below_n_max(payload):
+    payload["stages"].pop()
+
+
+def _infinite_h_value(payload):
+    payload["h"]["2"]["values"][0] = float("inf")
+
+
+def _wait_flag_not_boolean(payload):
+    payload["stages"][0]["1"]["wait"][0] = 2
+
+
+@pytest.mark.parametrize("corrupt", [
+    _drop_stages, _truncate_value, _restart_index_out_of_range, _nan_r,
+    _drop_control_point, _shorten_h_axis, _stage_count_below_n_max,
+    _infinite_h_value, _wait_flag_not_boolean,
+])
+def test_corrupt_artifact_is_mismatch(tmp_path, rm1, rm1_table, corrupt):
+    path = tmp_path / "policy.pdmpval"
+    save_policy(path, rm1_table)
+    payload = json.loads(path.read_text())
+    corrupt(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ArtifactMismatchError):
+        load_policy(path, rm1)

@@ -1,0 +1,245 @@
+"""The batched grid solver against the per-node scalar path.
+
+The reference builds the waiting operator densely, node by node from
+:class:`FlowProfile`, and runs each recursion stage node by node through
+:class:`JCurve` and ``_inf_from_curve``, taking waiting values from the
+solver's own ``GridOperator.apply``.  Each stage is compared from the same
+previous-stage values, so differences cannot compound.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from pdmp_impulse import valuefn
+from pdmp_impulse.dynamics import hit_time
+from pdmp_impulse.model import StatePoint, load_model
+from pdmp_impulse.operators import (
+    FlowProfile,
+    JCurve,
+    MinRelocationValue,
+    _first_entry,
+    _golden_min,
+    _inf_from_curve,
+)
+from pdmp_impulse.valuefn import (
+    GridOperator,
+    GridSpec,
+    _cell_weights,
+    _first_entry_many,
+    _FlowChunk,
+    _golden_min_many,
+    _node_mesh,
+    compute_h,
+    value_iterate,
+)
+
+from conftest import planar_doc, rm1_doc
+
+N_T = 64
+EPS = 0.01
+TIME_TOL_REL = 1e-6
+H_TOL = 1e-10
+
+
+def _model(name):
+    """One model per feature the recursion supports, with its grid density."""
+    doc = rm1_doc()
+    density = 30
+    if name == "planar_intervening":
+        doc = planar_doc()
+        doc["costs"] = dict(doc["costs"], running={"1": "0.2 + 0.5*zeta[0]"},
+                            running_bound=2.2)
+        density = 8
+    elif name == "affine_intensity_region_split_kernel":
+        doc["intensity"] = {"1": "0.1 + 0.05*zeta[0]", "2": "1.0"}
+        doc["kernel"] = [
+            {"from_mode": 1, "region": [[0.0, 5.0]],
+             "atoms": [{"mode": 2, "zeta": ["5.0"], "prob": 0.3},
+                       {"mode": 2, "zeta": ["7.0"], "prob": 0.7}]},
+            {"from_mode": 1, "region": [[5.0, 10.0]],
+             "atoms": [{"mode": 2, "zeta": ["3.0"], "prob": 0.6},
+                       {"mode": 2, "zeta": ["8.0"], "prob": 0.4}]},
+            {"from_mode": 2, "region": None,
+             "atoms": [{"mode": 1, "zeta": ["0.5*zeta[0] + 2.0"], "prob": 1.0}]},
+        ]
+    elif name == "exponential_decay":
+        doc["flow"] = {"family": "exponential-decay-to-target",
+                       "params": {"1": {"target": [-2.0], "rate": [0.4]},
+                                  "2": {"target": [12.0], "rate": [0.3]}}}
+        # A static two-atom kernel in mode 1.
+        doc["kernel"][0]["atoms"] = [{"mode": 2, "zeta": ["5.0"], "prob": 0.4},
+                                     {"mode": 2, "zeta": ["7.0"], "prob": 0.6}]
+    elif name == "linear_decay":
+        doc["flow"] = {"family": "linear-decay-to-target",
+                       "params": {"1": {"target": [0.0], "rate": [1.0]},
+                                  "2": {"target": [-1.0], "rate": [2.0]}}}
+    elif name == "per_target_cost":
+        # Control points 1 and 2 coincide: every restart there is a tie,
+        # which goes to the lower index.
+        doc["control_set"].append({"mode": 1, "zeta": [3.0]})
+        doc["costs"]["intervention"] = {"kind": "per_target", "values": [1.3, 1.0, 1.0]}
+        doc["costs"]["intervention_bounds"] = [1.0, 1.3]
+    elif name == "expr_cost":
+        # Distance-dependent cost: nodes restart at either control point.
+        doc["costs"]["intervention"] = {"kind": "expr",
+                                        "expr": "1.0 + 0.05*abs(zeta[0] - y[0])"}
+        doc["costs"]["intervention_bounds"] = [1.0, 1.5]
+    elif name == "zero_intensity":
+        doc["intensity"] = {"1": "0.0", "2": "0.0"}
+        doc["intensity_bound"] = 0.0
+    else:
+        assert name == "rm1"
+    return load_model(doc), density
+
+
+MODELS = ["rm1", "planar_intervening", "affine_intensity_region_split_kernel",
+          "exponential_decay", "linear_decay", "per_target_cost", "expr_cost",
+          "zero_intensity"]
+
+
+def _nodes(model, axes):
+    return [StatePoint(m, tuple(p)) for m in model.mode_ids for p in _node_mesh(axes[m])]
+
+
+def dense_operator(model, axes, n_t):
+    """F and a dense B, accumulated node by node along each FlowProfile."""
+    offsets, size = {}, 0
+    for m in model.mode_ids:
+        offsets[m] = size
+        size += math.prod(len(a) for a in axes[m])
+    running = np.empty(size)
+    matrix = np.zeros((size, size))
+    for i, x in enumerate(_nodes(model, axes)):
+        profile = FlowProfile(model, x, n_t=n_t)
+        running[i] = profile.running_grid[-1]
+        for rec in profile.atom_records:
+            weight = (profile.wq[rec.indices] * profile.damp_s[rec.indices]
+                      * profile.lam_s[rec.indices] * rec.prob)
+            flat, coef = _cell_weights(axes[rec.mode], rec.positions)
+            np.add.at(matrix[i], (flat + offsets[rec.mode]).ravel(),
+                      (coef * weight[:, None]).ravel())
+        for point, prob in profile.end_atoms:
+            flat, coef = _cell_weights(axes[point.mode], np.asarray(point.zeta)[None, :])
+            np.add.at(matrix[i], (flat + offsets[point.mode]).ravel(),
+                      (coef * profile.damp_grid[-1] * prob).ravel())
+    return running, matrix
+
+
+def dense_fixed_point(running, matrix, tol):
+    vec = np.zeros(running.size)
+    while True:
+        nxt = running + matrix @ vec
+        gap = float(np.max(np.abs(nxt - vec)))
+        vec = nxt
+        if gap <= tol * (1.0 + float(np.max(np.abs(vec)))):
+            return vec
+
+
+def scalar_stage(model, gop, coverage, prev_vec, eps, n_t):
+    """One recursion stage, node by node on the scalar path."""
+    wait_vec = gop.apply(prev_vec)
+    prev_store = gop.to_store(prev_vec, coverage)
+    reloc = MinRelocationValue(model, [prev_store.eval(y) for y in model.control_set])
+    out = {"wait": [], "r": [], "y_index": [], "value": []}
+    for i, x in enumerate(_nodes(model, gop.axes)):
+        profile = FlowProfile(model, x, n_t=n_t)
+        curve = JCurve(profile, reloc, prev_store)
+        detail = _inf_from_curve(curve, eps, TIME_TOL_REL)
+        wait = bool(wait_vec[i] < detail.inf_value)
+        r = profile.t_star if wait else detail.r_eps
+        stop = model.flow.position(x.mode, np.asarray(x.zeta), r)
+        out["wait"].append(wait)
+        out["r"].append(r)
+        out["y_index"].append(reloc.eval_with_argmin(x.mode, stop)[1])
+        out["value"].append(wait_vec[i] if wait else curve.at(r))
+    return {k: np.asarray(v) for k, v in out.items()}
+
+
+def _flat(stage_field, model):
+    return np.concatenate([stage_field[m].ravel() for m in model.mode_ids])
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_batched_solver_matches_scalar_path(name):
+    model, density = _model(name)
+    h = compute_h(model, GridSpec(density=density), tol=H_TOL, n_t=N_T)
+    running, matrix = dense_operator(model, h.axes, N_T)
+    gop = GridOperator(model, h.axes, n_t=N_T)
+    assert np.array_equal(gop.offset_vec, running)
+    assert np.allclose(gop.matrix.toarray(), matrix, rtol=1e-12, atol=1e-15)
+    assert gop.contraction_bound() == pytest.approx(matrix.sum(axis=1).max(), rel=1e-12)
+
+    h_vec = _flat(h.values, model)
+    h_ref = dense_fixed_point(running, matrix, H_TOL)
+    assert np.all(np.abs(h_vec - h_ref) <= 1e-12 * np.maximum(1.0, np.abs(h_ref)))
+
+    table = value_iterate(model, h, n_max=2, eps=EPS, n_t=N_T, time_tol_rel=TIME_TOL_REL)
+    t_star = np.array([hit_time(model, x) for x in _nodes(model, h.axes)])
+    prev_vec = h_vec
+    for stage in table.stages:
+        ref = scalar_stage(model, gop, h.coverage, prev_vec, EPS, N_T)
+        wait = _flat(stage.wait, model)
+        value = _flat(stage.value, model)
+        assert np.array_equal(wait, ref["wait"])
+        assert np.array_equal(_flat(stage.y_index, model), ref["y_index"])
+        assert np.all(np.abs(_flat(stage.r, model) - ref["r"]) <= TIME_TOL_REL * t_star)
+        assert np.all(np.abs(value - ref["value"])
+                      <= 1e-12 * np.maximum(1e-300, np.abs(ref["value"])))
+        prev_vec = value
+
+
+def test_node_results_do_not_depend_on_chunk_size(monkeypatch):
+    model, density = _model("affine_intensity_region_split_kernel")
+    h = compute_h(model, GridSpec(density=density), tol=H_TOL, n_t=N_T)
+    table = value_iterate(model, h, n_max=2, eps=EPS, n_t=N_T)
+    monkeypatch.setattr(valuefn, "CHUNK_ELEMENTS", 1)
+    h_one = compute_h(model, GridSpec(density=density), tol=H_TOL, n_t=N_T)
+    one = value_iterate(model, h_one, n_max=2, eps=EPS, n_t=N_T)
+    for m in model.mode_ids:
+        assert np.array_equal(h_one.values[m], h.values[m])
+    for got, want in zip(one.stages, table.stages):
+        for field in ("wait", "r", "y_index", "value"):
+            for m in model.mode_ids:
+                assert np.array_equal(getattr(got, field)[m], getattr(want, field)[m])
+
+
+# Test curves for the lockstep searches: a parabola, a flat curve (every
+# comparison ties), a step and a kink.
+_CURVES = [
+    lambda t: (t - 0.37) ** 2,
+    lambda t: 0.0 * t + 1.5,
+    lambda t: np.where(t < 0.61, 2.0, 1.0),
+    lambda t: np.abs(t - 0.2) - 0.1,
+]
+
+
+def _lockstep_fn(i, t):
+    return np.array([float(_CURVES[k](tk)) for k, tk in zip(i, t)])
+
+
+def test_lockstep_searches_match_scalar_ones():
+    lo = np.array([0.0, 0.1, 0.3, 0.0])
+    hi = np.array([1.0, 0.9, 0.8, 0.5])
+    tol = np.full(4, 1e-6)
+    best_t, best_f = _golden_min_many(_lockstep_fn, lo, hi, tol)
+    threshold = np.array([0.01, 2.0, 1.5, 0.0])
+    entry = _first_entry_many(_lockstep_fn, lo, hi, threshold, tol)
+    for k, curve in enumerate(_CURVES):
+        fn = lambda t, curve=curve: float(curve(t))
+        assert (best_t[k], best_f[k]) == _golden_min(fn, lo[k], hi[k], tol[k])
+        scalar_curve = type("Curve", (), {"at": staticmethod(fn)})
+        assert entry[k] == _first_entry(scalar_curve, lo[k], hi[k], threshold[k], tol[k])
+
+
+def test_left_index_is_searchsorted():
+    model, _density = _model("rm1")
+    geo = _FlowChunk(model, 1, np.array([[0.5], [3.3], [9.9]]), N_T)
+    for i, grid in enumerate(geo.tgrid):
+        # Grid times, their float neighbours and near misses either side.
+        t = np.concatenate([grid, np.nextafter(grid, -1.0).clip(0.0),
+                            np.nextafter(grid, np.inf), grid * (1 + 1e-12),
+                            grid * (1 - 1e-12)])
+        want = np.searchsorted(grid, t, side="right") - 1
+        assert np.array_equal(geo.left_index(np.full(t.size, i), t), want)

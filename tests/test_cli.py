@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pdmp_impulse import valuefn
 from pdmp_impulse.cli import main
 
 from conftest import MODEL_PATH, rm1_doc
@@ -62,16 +63,41 @@ def test_compute_value_outputs(cli_workspace):
     assert float(rows[0]["sup_V"]) > 0
 
 
-def test_compute_value_deterministic(tmp_path):
-    for sub in ("a", "b"):
+@pytest.mark.parametrize("flag,value", [
+    ("--eps", "nan"), ("--eps", "inf"), ("--h-tol", "nan"), ("--h-tol", "0"),
+])
+def test_compute_value_rejects_non_finite_tolerances(tmp_path, flag, value):
+    code = run_cli("compute-value", "--model", MODEL_PATH, "--out", tmp_path,
+                   "--nmax", "1", "--grid", "20", flag, value)
+    assert code == 2
+    assert not (tmp_path / "policy.pdmpval").exists()
+
+
+def test_simulate_corrupt_artifact_exit_code(cli_workspace, tmp_path):
+    payload = json.loads((cli_workspace / "policy.pdmpval").read_text())
+    payload["stages"][0]["1"]["value"].pop()
+    bad = tmp_path / "policy.pdmpval"
+    bad.write_text(json.dumps(payload))
+    code = run_cli("simulate", "--model", MODEL_PATH, "--out", tmp_path,
+                   "--artifact", bad, "--x0", "1:2.0", "--n0", "1",
+                   "--replicates", "10")
+    assert code == 4
+
+
+def test_compute_value_deterministic(tmp_path, monkeypatch):
+    # Run "c" solves one grid node per chunk; outputs must not change.
+    for sub in ("a", "b", "c"):
+        if sub == "c":
+            monkeypatch.setattr(valuefn, "CHUNK_ELEMENTS", 1)
         code = run_cli(
             "compute-value", "--model", MODEL_PATH, "--out", tmp_path / sub,
             "--eps", "0.02", "--nmax", "1", "--grid", "40", "--seed", "5",
         )
         assert code == 0
     for name in ("policy.pdmpval", "value_summary.csv"):
-        assert (tmp_path / "a" / name).read_bytes() == \
-            (tmp_path / "b" / name).read_bytes()
+        for sub in ("b", "c"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / sub / name).read_bytes()
 
 
 def test_simulate_report_rows_cover_reference_values(cli_workspace, rm1, rm1_h):

@@ -25,33 +25,12 @@ from pdmp_impulse.model import StatePoint, as_state, load_model, validate_model
 from pdmp_impulse.operators import ConstantEvaluable, op_F, op_K
 from pdmp_impulse.valuefn import GridSpec, compute_h, policy_query, value_iterate
 
-from conftest import rm1_doc
+from conftest import planar_doc, rm1_doc
 
 
 @pytest.fixture(scope="module")
 def planar_model():
-    doc = {
-        "modes": [{"id": 1, "bounds": [[0.0, 4.0], [0.0, 6.0]]}],
-        "flow": {"family": "constant-drift",
-                 "params": {"1": {"velocity": [-1.0, -0.5]}}},
-        "intensity": {"1": "0.3"},
-        "intensity_bound": 0.3,
-        "kernel": [
-            {"from_mode": 1, "region": None,
-             "atoms": [{"mode": 1, "zeta": ["2.0", "3.0"], "prob": 1.0}]}
-        ],
-        "costs": {
-            "running": {"1": "0.7"},
-            "running_bound": 0.7,
-            "intervention": {"kind": "constant", "value": 0.5},
-            "intervention_bounds": [0.5, 0.5],
-        },
-        "control_set": [{"mode": 1, "zeta": [3.0, 5.0]},
-                        {"mode": 1, "zeta": [1.0, 1.0]}],
-        "discount": 0.5,
-        "t_star_bound": 12.0,
-    }
-    return load_model(doc)
+    return load_model(planar_doc())
 
 
 def test_planar_model_validates(planar_model):

@@ -264,5 +264,12 @@ def test_policy_query_out_of_range(rm1, rm1_table):
 def test_value_iterate_rejects_bad_arguments(rm1, rm1_h):
     with pytest.raises(ModelParseError):
         value_iterate(rm1, rm1_h, n_max=0, eps=0.01)
+    for eps in (0.0, math.nan, math.inf):
+        with pytest.raises(ModelParseError):
+            value_iterate(rm1, rm1_h, n_max=1, eps=eps)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+def test_compute_h_rejects_bad_tolerance(rm1, tol):
     with pytest.raises(ModelParseError):
-        value_iterate(rm1, rm1_h, n_max=1, eps=0.0)
+        compute_h(rm1, GridSpec(density=20), tol=tol)

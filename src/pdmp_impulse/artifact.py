@@ -119,12 +119,15 @@ def save_policy(path, table: PolicyTable) -> None:
 def load_policy(path, model: PdmpModel | None = None) -> PolicyTable:
     """Read an artifact, checking it against itself and, given one, the model.
 
-    Anything that does not fit (a missing field, a list whose length does not
-    match the grid, a non-finite number, a stage count other than n_max, a
-    restart index outside the control set, a control set other than the
-    model's) raises :class:`ArtifactMismatchError`.
+    Anything that does not fit (text that is not JSON, a missing field, a
+    list whose length does not match the grid, a non-finite number, a stage
+    count other than n_max, a restart index outside the control set, a
+    control set other than the model's) raises :class:`ArtifactMismatchError`.
     """
-    payload = json.loads(Path(path).read_text())
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ArtifactMismatchError(f"artifact is not readable JSON: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != FORMAT_TAG:
         tag = payload.get("format") if isinstance(payload, dict) else None
         raise ArtifactMismatchError(f"unsupported artifact format {tag!r}")

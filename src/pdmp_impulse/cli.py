@@ -177,11 +177,7 @@ def cmd_simulate(args) -> int:
                 f"se={est.std_error:.2e} V={v_ref:.6f} |dev|/se={dev:.2f}"
             )
             if args.dump_costs:
-                for rep in range(args.replicates):
-                    rng = np.random.default_rng([args.seed, rep])
-                    traj = simulate_controlled(x0, n0, table, model, rng,
-                                               collect_events=False)
-                    sample_rows.append([_state_label(x0), n0, traj.total_cost])
+                sample_rows += [[_state_label(x0), n0, cost] for cost in est.totals.tolist()]
     _write_csv(
         out_dir / "cost_report.csv",
         ["x0", "N0", "eps", "replicates", "mean", "se", "ci_lo", "ci_hi",

@@ -10,15 +10,18 @@ Natural jumps draw from the kernel and also decrement the budget while it is
 positive.  Classification never compares sampled reals for equality: the
 sojourn sampler returns the truncation flag.
 
-Every simulation here runs the step core and path loop of :mod:`.dynamics`,
-the same code that simulates the uncontrolled process at budget 0, with the
-policy lookup of :meth:`PolicyTable.lookup` that :func:`policy_query` uses.
+Single paths and law checks run the step core and path loop of
+:mod:`.dynamics`, the same code that simulates the uncontrolled process at
+budget 0, with the policy lookup of :meth:`PolicyTable.lookup` that
+:func:`policy_query` uses.  Cost estimates run the same paths in lockstep
+batches (:func:`.dynamics.lockstep_costs`, with
+:meth:`PolicyTable.lookup_many`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import ks_2samp
@@ -32,6 +35,7 @@ from .dynamics import (
     _run_path,
     _runtime,
     default_horizon,
+    lockstep_costs,
 )
 from .errors import DomainError, PolicyCoverageError
 from .model import PdmpModel, StatePoint
@@ -190,6 +194,11 @@ def aug_step(s: AugmentedState, table: PolicyTable, model: PdmpModel,
     return post, event
 
 
+def _check_budget(table: PolicyTable, n0: int) -> None:
+    if n0 < 0 or n0 > table.n_max:
+        raise PolicyCoverageError(f"initial budget {n0} outside table range 0..{table.n_max}")
+
+
 def simulate_controlled(
     x0: StatePoint,
     n0: int,
@@ -205,8 +214,7 @@ def simulate_controlled(
     intervention costs are never truncated, so simulation continues past the
     horizon until the budget is exhausted.
     """
-    if n0 < 0 or n0 > table.n_max:
-        raise PolicyCoverageError(f"initial budget {n0} outside table range 0..{table.n_max}")
+    _check_budget(table, n0)
     if horizon is None:
         horizon = default_horizon(model)
     running, fees, interventions, steps = _run_path(model, table, x0, n0, horizon, rng,
@@ -249,6 +257,8 @@ class CostEstimate:
     intervention_mean: float
     intervention_counts: dict[int, int]
     replicates: int
+    totals: np.ndarray = field(repr=False, compare=False)
+    """Total cost of each replicate, in replicate order."""
 
 
 def estimate_cost_J(
@@ -263,37 +273,32 @@ def estimate_cost_J(
     """Monte Carlo estimate of the strategy cost with per-replicate streams.
 
     Replicate r draws from a stream seeded by (seed, r), so estimates are
-    reproducible and independent of evaluation order; sums use numpy pairwise
-    accumulation.
+    reproducible and independent of evaluation order; the paths run in
+    lockstep batches (:func:`.dynamics.lockstep_costs`) and sums use numpy
+    pairwise accumulation.
     """
     if replicates < 1:
         raise DomainError("replicates must be positive")
-    totals = np.empty(replicates)
-    runnings = np.empty(replicates)
-    fees = np.empty(replicates)
-    counts: dict[int, int] = {}
-    for rep in range(replicates):
-        rng = np.random.default_rng([seed, rep])
-        traj = simulate_controlled(x0, n0, table, model, rng,
-                                   horizon=horizon, collect_events=False)
-        runnings[rep] = traj.running_cost
-        fees[rep] = traj.intervention_cost
-        totals[rep] = traj.total_cost
-        k = traj.n_interventions
-        counts[k] = counts.get(k, 0) + 1
+    _check_budget(table, n0)
+    if horizon is None:
+        horizon = default_horizon(model)
+    costs = lockstep_costs(model, table, x0, n0, horizon, seed, replicates)
+    totals = costs.total
     mean = float(np.mean(totals))
     if replicates > 1:
         se = float(np.std(totals, ddof=1) / math.sqrt(replicates))
     else:
         se = 0.0
+    counts, freq = np.unique(costs.interventions, return_counts=True)
     return CostEstimate(
         mean=mean,
         std_error=se,
         ci95=(mean - 1.96 * se, mean + 1.96 * se),
-        running_mean=float(np.mean(runnings)),
-        intervention_mean=float(np.mean(fees)),
-        intervention_counts=dict(sorted(counts.items())),
+        running_mean=float(np.mean(costs.running)),
+        intervention_mean=float(np.mean(costs.fees)),
+        intervention_counts=dict(zip(counts.tolist(), freq.tolist())),
         replicates=replicates,
+        totals=totals,
     )
 
 

@@ -11,7 +11,9 @@ A single step core and path loop simulate the budget-augmented process
 (mode, position, budget, clock) in every dimension, on the model's scalar
 flow maps over position tuples.  The uncontrolled process is that process at
 budget 0, where the policy table is never consulted: :func:`simulate_uncontrolled`
-and the controlled simulator run the same loop.
+and the controlled simulator run the same loop.  :func:`lockstep_costs` runs
+many replicates of that loop at once over arrays, for cost estimates; the
+single-path loop is its oracle.
 """
 
 from __future__ import annotations
@@ -175,11 +177,17 @@ class _SimRuntime:
             for m, e in model.costs.running.items()
         }
         self.static_kernel = {}
+        self.static_arrays = {}
         for m in model.mode_ids:
             atoms = model.kernel.static_atoms_for(m)
             self.static_kernel[m] = None if atoms is None else (
                 list(accumulate(prob for _mode, _pos, prob in atoms)),
                 [(a_mode, a_pos, j) for j, (a_mode, a_pos, _prob) in enumerate(atoms)],
+            )
+            self.static_arrays[m] = None if atoms is None else (
+                np.asarray(self.static_kernel[m][0]),
+                np.array([a_mode for a_mode, _pos, _prob in atoms]),
+                np.array([a_pos for _mode, a_pos, _prob in atoms], dtype=float),
             )
 
     def sample_sojourn(self, mode: int, zeta, t_cap: float, u: float) -> tuple[float, bool]:
@@ -409,3 +417,219 @@ def simulate_uncontrolled(
         if time < horizon
     )
     return PathRecord(x0, events, horizon, running)
+
+
+# --------------------------------------------------------------------------
+# Lockstep Monte Carlo
+
+BATCH_REPLICATES = 512
+"""Replicates that :func:`lockstep_costs` steps together over arrays.  No
+result depends on it: every replicate keeps its own stream and arithmetic."""
+
+DRAW_BLOCK = 64
+"""Uniforms drawn from a replicate's generator at a time."""
+
+
+@dataclass(frozen=True)
+class ReplicateCosts:
+    """Per-replicate outcome of :func:`lockstep_costs`, in replicate order."""
+
+    running: np.ndarray
+    fees: np.ndarray
+    interventions: np.ndarray
+    jumps: np.ndarray
+
+    @property
+    def total(self) -> np.ndarray:
+        return self.running + self.fees
+
+
+class _Streams:
+    """Uniform streams of one lockstep batch.
+
+    Row j belongs to replicate reps[j] and draws from
+    ``np.random.default_rng([seed, reps[j]])`` in blocks of DRAW_BLOCK,
+    refilled from the same generator.  ``Generator.random(n)`` returns the
+    doubles of n scalar ``random()`` calls, so each row sees the stream the
+    single-path simulator would.
+    """
+
+    def __init__(self, seed: int, reps: np.ndarray):
+        self.gens = np.empty(reps.size, dtype=object)
+        self.buf = np.empty((reps.size, DRAW_BLOCK))
+        for j, rep in enumerate(reps.tolist()):
+            self.gens[j] = np.random.default_rng([seed, rep])
+            self.gens[j].random(out=self.buf[j])
+        self.cur = np.zeros(reps.size, dtype=np.int64)
+
+    def draw(self, rows: np.ndarray) -> np.ndarray:
+        """The next uniform of each of the given rows."""
+        at = self.cur[rows]
+        spent = at == DRAW_BLOCK
+        if spent.any():
+            for j in rows[spent]:
+                self.gens[j].random(out=self.buf[j])
+            at[spent] = 0
+        self.cur[rows] = at + 1
+        return self.buf[rows, at]
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.gens, self.buf, self.cur = self.gens[mask], self.buf[mask], self.cur[mask]
+
+
+def lockstep_costs(model: PdmpModel, table, x0: StatePoint, budget: int, horizon: float,
+                   seed: int, replicates: int) -> ReplicateCosts:
+    """Run replicates 0..replicates-1 of the path loop of :func:`_run_path`
+    from x0 at the given budget, replicate r on ``default_rng([seed, r])``.
+
+    Batches of BATCH_REPLICATES paths step in lockstep over arrays of (mode,
+    position, budget, elapsed, running cost, fees, interventions); a path
+    leaves its batch once it is past the horizon with its budget spent.  Each
+    path makes the draws of the single-path loop in the same order (the
+    sojourn, then the atom on a natural jump) with the same arithmetic, so
+    it takes the same jumps and interventions and its costs agree to a few
+    ulp (numpy's exp and log against the math module's).  Rows whose mode
+    has a non-constant intensity, a state-dependent or region-split kernel
+    or a non-constant running cost take those parts from the scalar code.
+    """
+    _check_start(model, x0.mode, x0.zeta)
+    rt = _runtime(model)
+    out = ReplicateCosts(np.empty(replicates), np.empty(replicates),
+                         np.empty(replicates, dtype=np.int64),
+                         np.empty(replicates, dtype=np.int64))
+    for first in range(0, replicates, BATCH_REPLICATES):
+        reps = np.arange(first, min(first + BATCH_REPLICATES, replicates))
+        _lockstep_batch(rt, table, x0, budget, horizon, _Streams(seed, reps), reps, out)
+    return out
+
+
+def _lockstep_batch(rt: _SimRuntime, table, x0: StatePoint, n0: int, horizon: float,
+                    streams: _Streams, reps: np.ndarray, out: ReplicateCosts) -> None:
+    """Step the paths of replicates reps, drawing from streams, until each is
+    past the horizon with its budget spent; write their outcomes into out."""
+    model, alpha = rt.model, rt.alpha
+    flow, costs = model.flow, model.costs
+    n = reps.size
+    mode = np.full(n, x0.mode)
+    pos = np.tile(np.asarray(x0.zeta, dtype=float), (n, 1))
+    budget = np.full(n, n0)
+    elapsed = np.zeros(n)
+    running = np.zeros(n)
+    fees = np.zeros(n)
+    count = np.zeros(n, dtype=np.int64)
+    # Every live path jumps once per round, so the round count is each live
+    # path's jump count.
+    jumps = 0
+    while reps.size:
+        n = reps.size
+        groups = [(m, rows) for m in model.mode_ids
+                  if (rows := np.flatnonzero(mode == m)).size]
+        cap = np.empty(n)
+        for m, rows in groups:
+            cap[rows] = flow.hit_times(m, pos[rows])
+        intervene = np.zeros(n, dtype=bool)
+        y_idx = np.zeros(n, dtype=np.int64)
+        if n0:
+            for m, rows in groups:
+                rows = rows[budget[rows] > 0]
+                if rows.size:
+                    wait, r, y = table.lookup_many(m, pos[rows], budget[rows])
+                    plan = ~wait & (r < cap[rows])
+                    rows, r, y = rows[plan], r[plan], y[plan]
+                    intervene[rows] = True
+                    cap[rows] = r
+                    y_idx[rows] = y
+
+        # Sojourn truncated at the cap, as _SimRuntime.sample_sojourn.
+        u = streams.draw(np.arange(n))
+        sojourn = np.zeros(n)
+        cap_hit = cap <= 0.0
+        for m, rows in groups:
+            rows = rows[~cap_hit[rows]]
+            lam = rt.lam_const[m]
+            if lam is None:
+                for j in rows.tolist():
+                    sojourn[j], cap_hit[j] = rt.sample_sojourn(
+                        m, tuple(pos[j].tolist()), float(cap[j]), float(u[j]))
+                continue
+            hit = u[rows] < np.exp(-lam * cap[rows])
+            sojourn[rows[hit]] = cap[rows[hit]]
+            cap_hit[rows[hit]] = True
+            rows = rows[~hit]
+            sojourn[rows] = -np.log(u[rows]) / lam
+        pre = np.empty_like(pos)
+        for m, rows in groups:
+            pre[rows] = flow.position(m, pos[rows], sojourn[rows])
+
+        # Running cost up to the horizon, as _run_path.
+        jump_time = elapsed + sojourn
+        seg = np.where(jump_time < horizon, sojourn, np.maximum(horizon - elapsed, 0.0))
+        for m, rows in groups:
+            rows = rows[seg[rows] > 0.0]
+            f0 = rt.f_const[m]
+            if f0 is None:
+                for j in rows.tolist():
+                    running[j] += math.exp(-alpha * elapsed[j]) * rt.segment_integral(
+                        m, tuple(pos[j].tolist()), float(seg[j]))
+            elif f0 != 0.0:
+                running[rows] += (np.exp(-alpha * elapsed[rows]) * f0
+                                  * (1.0 - np.exp(-alpha * seg[rows])) / alpha)
+
+        post_mode = np.empty_like(mode)
+        post_pos = np.empty_like(pos)
+        acted = intervene & cap_hit
+        if acted.any():
+            rows = np.flatnonzero(acted)
+            if (y_idx[rows] < 0).any():
+                j = rows[np.argmax(y_idx[rows] < 0)]
+                raise PolicyCoverageError(
+                    f"intervention scheduled at (mode={mode[j]}, zeta={tuple(pos[j].tolist())}) "
+                    "with no restart"
+                )
+            for m, group in groups:
+                group = group[acted[group]]
+                for y in np.unique(y_idx[group]).tolist():
+                    sel = group[y_idx[group] == y]
+                    fee = costs.intervention_along(m, pre[sel], y)
+                    fees[sel] += np.exp(-alpha * jump_time[sel]) * fee
+            restarts = [table.control_set[y] for y in y_idx[rows].tolist()]
+            post_mode[rows] = [y.mode for y in restarts]
+            post_pos[rows] = [y.zeta for y in restarts]
+            budget[rows] -= 1
+            count[rows] += 1
+
+        # Natural jumps draw their atom, as _SimRuntime.post_jump.
+        natural = ~acted
+        u_atom = np.empty(n)
+        u_atom[natural] = streams.draw(np.flatnonzero(natural))
+        for m, rows in groups:
+            rows = rows[natural[rows]]
+            static = rt.static_arrays[m]
+            if static is None:
+                for j in rows.tolist():
+                    post_mode[j], post_pos[j], _atom = rt.post_jump(
+                        m, tuple(pre[j].tolist()), float(u_atom[j]))
+                continue
+            cdf, atom_mode, atom_pos = static
+            k = np.minimum(np.searchsorted(cdf, u_atom[rows], side="right"), cdf.size - 1)
+            post_mode[rows] = atom_mode[k]
+            post_pos[rows] = atom_pos[k]
+        budget[natural] = np.maximum(budget[natural] - 1, 0)
+
+        mode, pos, elapsed = post_mode, post_pos, jump_time
+        jumps += 1
+        if jumps > MAX_JUMPS:
+            raise NumericalError(
+                f"more than {MAX_JUMPS} jumps; the model looks numerically explosive"
+            )
+        done = (elapsed >= horizon) & (budget == 0)
+        if done.any():
+            idx = reps[done]
+            out.running[idx] = running[done]
+            out.fees[idx] = fees[done]
+            out.interventions[idx] = count[done]
+            out.jumps[idx] = jumps
+            keep = ~done
+            reps, mode, pos, budget, elapsed, running, fees, count = (
+                a[keep] for a in (reps, mode, pos, budget, elapsed, running, fees, count))
+            streams.keep(keep)

@@ -72,13 +72,15 @@ class ModeRegion:
 
 
 def _coordinate_flow(family: str, p: dict[str, np.ndarray], lo: float, hi: float,
-                     i: int):
+                     i: int, log=math.log):
     """Scalar (hit, position) closures of coordinate i, on position tuples.
 
     ``hit(zeta)`` is the time coordinate i leaves (lo, hi), or the closure is
     None when it never does.  ``position(zeta, t)`` returns the coordinate's
     one-element slice of the flowed position tuple, so a one-dimensional mode
-    uses it as its whole position map.
+    uses it as its whole position map.  With ``log=np.log`` the same ``hit``
+    arithmetic runs on coordinate columns, such as ``pos.T`` of an (n, d)
+    array of positions.
     """
     if family == "constant-drift":
         v = float(p["velocity"][i])
@@ -105,9 +107,9 @@ def _coordinate_flow(family: str, p: dict[str, np.ndarray], lo: float, hi: float
         return hit, position
     hit = None
     if g < lo:
-        hit = lambda z: math.log((z[i] - g) / (lo - g)) / r
+        hit = lambda z: log((z[i] - g) / (lo - g)) / r
     elif g > hi:
-        hit = lambda z: math.log((g - z[i]) / (g - hi)) / r
+        hit = lambda z: log((g - z[i]) / (g - hi)) / r
     return hit, lambda z, t: (g + (z[i] - g) * math.exp(-r * t),)
 
 
@@ -118,8 +120,9 @@ class FlowRuntime:
     the semigroup identity exactly, so positions and hit times are pure
     arithmetic with no ODE solves.  ``hit_fn[mode](zeta)`` and
     ``position_fn[mode](zeta, t)`` are the scalar maps on position tuples that
-    every simulation step uses; ``position`` is the vectorized form used
-    along flow profiles.
+    the single-path simulator uses; ``position`` and ``hit_times`` are the
+    vectorized forms used along flow profiles and by the lockstep Monte Carlo
+    engine.
     """
 
     def __init__(self, family: str, params: dict[int, dict[str, np.ndarray]],
@@ -129,11 +132,15 @@ class FlowRuntime:
         self.regions = regions
         self.hit_fn = {}
         self.position_fn = {}
+        self._hit_columns = {}
         for m, region in regions.items():
-            coords = [_coordinate_flow(family, params[m], lo, hi, i)
-                      for i, (lo, hi) in enumerate(zip(region.lower, region.upper))]
+            bounds = list(enumerate(zip(region.lower, region.upper)))
+            coords = [_coordinate_flow(family, params[m], lo, hi, i) for i, (lo, hi) in bounds]
             hits = tuple(hit for hit, _ in coords if hit is not None)
             positions = tuple(position for _, position in coords)
+            columns = (_coordinate_flow(family, params[m], lo, hi, i, np.log)
+                       for i, (lo, hi) in bounds)
+            self._hit_columns[m] = tuple(hit for hit, _ in columns if hit is not None)
             if not hits:
                 self.hit_fn[m] = lambda z: math.inf
             elif len(hits) == 1:
@@ -173,6 +180,18 @@ class FlowRuntime:
     def hit_time(self, mode: int, zeta: Sequence[float]) -> float:
         """Exact first time the flow leaves the open region (inf if never)."""
         return float(self.hit_fn[mode](zeta))
+
+    def hit_times(self, mode: int, pos: np.ndarray) -> np.ndarray:
+        """Hit times for an (n, d) array of positions, with the arithmetic of
+        ``hit_fn`` run over coordinate columns."""
+        hits = self._hit_columns[mode]
+        if not hits:
+            return np.full(pos.shape[0], math.inf)
+        cols = pos.T
+        out = hits[0](cols)
+        for hit in hits[1:]:
+            out = np.minimum(out, hit(cols))
+        return out
 
 
 @dataclass(frozen=True)

@@ -455,6 +455,12 @@ def op_J(model: PdmpModel, v, w, x: StatePoint, t: float) -> float:
     return float(inner + damp(cap) * v.eval(stop_point))
 
 
+def check_eps(eps: float) -> None:
+    """Reject an eps that is not a positive finite number."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise ModelParseError(f"eps must be positive and finite; got {eps!r}")
+
+
 def inf_J(model: PdmpModel, v, w, x: StatePoint, eps: float,
           n_t: int = 512, time_tol_rel: float = 1e-6) -> InfJResult:
     """Minimize the intervention-value curve and locate its eps-threshold time.
@@ -464,8 +470,7 @@ def inf_J(model: PdmpModel, v, w, x: StatePoint, eps: float,
     the earliest time (scanning upward from 0) where the curve is strictly
     below inf + eps, located by bisection inside its bracketing cell.
     """
-    if eps <= 0:
-        raise ModelParseError("eps must be positive")
+    check_eps(eps)
     profile = FlowProfile(model, x, n_t=n_t)
     curve = JCurve(profile, v, w)
     return _inf_from_curve(curve, eps, time_tol_rel)
@@ -515,6 +520,7 @@ def op_Lscript(model: PdmpModel, w, x: StatePoint, eps: float,
     Returns the eps-approximate value, which exceeds the exact minimization
     by at most eps when the intervention branch wins.
     """
+    check_eps(eps)
     phi = [w.eval(y) for y in model.control_set]
     reloc = MinRelocationValue(model, phi)
     profile = FlowProfile(model, x, n_t=n_t)

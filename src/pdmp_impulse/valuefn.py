@@ -36,6 +36,7 @@ from .operators import (
     JCurve,
     MinRelocationValue,
     _inf_from_curve,
+    check_eps,
     collect_atom_records,
     eval_many,
 )
@@ -630,6 +631,7 @@ class PolicyTable:
     stages: list[PolicyStage] = field(default_factory=list)
     grid_spec: dict | None = None
     _lists: dict = field(default_factory=dict, init=False, repr=False)
+    _arrays: dict = field(default_factory=dict, init=False, repr=False)
 
     def value_store(self, k: int) -> FunctionStore:
         if k == 0:
@@ -698,19 +700,89 @@ class PolicyTable:
             r = total / weight
         return wait, r, ys[nearest]
 
-    def _plain_lists(self, mode: int, budget: int):
+    def lookup_many(self, mode: int, zeta: np.ndarray, budget):
+        """:meth:`lookup` for an (n, d) array of positions in one mode; budget
+        is one int or an (n,) int array, each at least 1.
+
+        The corner rule runs over arrays with the same product order,
+        first-max tie rule and summation order, so every row gets the bits
+        that :meth:`lookup` gives it.  Returns (wait, r, y_index) arrays.
+        """
+        fields = self._arrays.get(mode)
+        if fields is None:
+            fields = self._arrays[mode] = self._stacked_arrays(mode)
+        axes, offsets, size, waits, rs, ys = fields
+        if zeta.ndim != 2 or zeta.shape[1] != len(axes):
+            raise ExtrapolationError(
+                f"queries of shape {zeta.shape} do not fit the table's {len(axes)} coordinates"
+            )
+        budget = np.asarray(budget)
+        if budget.size and not 1 <= budget.min() <= budget.max() <= len(self.stages):
+            raise PolicyCoverageError(
+                f"budgets outside the table's stages 1..{len(self.stages)}"
+            )
+        base = np.zeros(zeta.shape[0], np.int64) + (budget - 1) * size
+        coefs = [1.0]
+        for k, (axis, stride, last, z_lo, z_hi) in enumerate(axes):
+            z = zeta[:, k]
+            outside = ~((z_lo <= z) & (z <= z_hi))
+            if outside.any():
+                raise ExtrapolationError(
+                    f"query (mode={mode}, zeta={tuple(zeta[np.argmax(outside)])}) "
+                    "outside grid coverage"
+                )
+            i = np.clip(np.searchsorted(axis, z, side="right") - 1, 0, last)
+            t = (z - axis[i]) / (axis[i + 1] - axis[i])
+            base += i * stride
+            coefs = [c * f for f in (1.0 - t, t) for c in coefs]
+        nearest = base + offsets[np.argmax(np.stack(coefs), axis=0)]
+        wait = waits[nearest]
+        total = weight = 0.0
+        agreeing = 0
+        for offset, c in zip(offsets, coefs):
+            agree = waits[base + offset] == wait
+            total = np.where(agree, total + rs[base + offset] * c, total)
+            weight = np.where(agree, weight + c, weight)
+            agreeing = agreeing + agree
+        r = total
+        alone = agreeing == 1
+        r[alone] = rs[nearest[alone]]
+        partial = ~alone & (agreeing < len(offsets))
+        r[partial] = total[partial] / weight[partial]
+        return wait, r, ys[nearest]
+
+    def _cell_layout(self, mode: int):
+        """Per axis (grid, flat stride, last cell index, widened coverage
+        bounds), and the flat offsets of a cell's corners: the layout both
+        lookups walk."""
         if mode not in self.axes:
             raise ExtrapolationError(f"mode {mode} not covered by the policy table")
-        stage = self._stage(budget)
-        lists = [a.tolist() for a in self.axes[mode]]
+        axes = self.axes[mode]
         lo, hi = _coverage_box(*self.coverage[mode])
-        strides = [math.prod(len(a) for a in lists[k + 1:]) for k in range(len(lists))]
+        strides = [math.prod(len(a) for a in axes[k + 1:]) for k in range(len(axes))]
         offsets = [0]
         for stride in strides:
             offsets = offsets + [o + stride for o in offsets]
-        axes = list(zip(lists, strides, [len(a) - 2 for a in lists], lo, hi))
+        return list(zip(axes, strides, [len(a) - 2 for a in axes], lo, hi)), offsets
+
+    def _plain_lists(self, mode: int, budget: int):
+        axes, offsets = self._cell_layout(mode)
+        stage = self._stage(budget)
+        axes = [(axis.tolist(), *rest) for axis, *rest in axes]
         return (axes, offsets, stage.wait[mode].ravel().tolist(),
                 stage.r[mode].ravel().tolist(), stage.y_index[mode].ravel().tolist())
+
+    def _stacked_arrays(self, mode: int):
+        """Branch fields of every stage concatenated, stage k at offset
+        (k - 1) times the mode's node count."""
+        axes, offsets = self._cell_layout(mode)
+
+        def stacked(name):
+            return np.concatenate([getattr(s, name)[mode].ravel() for s in self.stages])
+
+        size = math.prod(len(a) for a in self.axes[mode])
+        return (axes, np.asarray(offsets), size, stacked("wait"), stacked("r"),
+                stacked("y_index"))
 
 
 @dataclass(frozen=True)
@@ -732,8 +804,7 @@ def value_iterate(model: PdmpModel, h: FunctionStore, n_max: int, eps: float,
     """
     if n_max < 1:
         raise ModelParseError("n_max must be at least 1")
-    if not (math.isfinite(eps) and eps > 0):
-        raise ModelParseError(f"eps must be positive and finite; got {eps!r}")
+    check_eps(eps)
     gop = GridOperator(model, h.axes, n_t=n_t)
     coverage = h.coverage
     table = PolicyTable(
@@ -808,8 +879,7 @@ def eval_Vk_exact(model: PdmpModel, h: FunctionStore, k: int, x: StatePoint,
         raise ResourceBudgetError(
             f"exact recursion limited to k <= {k_exact_max}; got {k}"
         )
-    if eps <= 0:
-        raise ModelParseError("eps must be positive")
+    check_eps(eps)
     memo: dict = {}
     calls = [0]
 

@@ -43,6 +43,62 @@ def planar_doc() -> dict:
     }
 
 
+def feature_model(name):
+    """One model per feature the recursion supports, with its grid density."""
+    doc = rm1_doc()
+    density = 30
+    if name == "planar_intervening":
+        doc = planar_doc()
+        doc["costs"] = dict(doc["costs"], running={"1": "0.2 + 0.5*zeta[0]"},
+                            running_bound=2.2)
+        density = 8
+    elif name == "affine_intensity_region_split_kernel":
+        doc["intensity"] = {"1": "0.1 + 0.05*zeta[0]", "2": "1.0"}
+        doc["kernel"] = [
+            {"from_mode": 1, "region": [[0.0, 5.0]],
+             "atoms": [{"mode": 2, "zeta": ["5.0"], "prob": 0.3},
+                       {"mode": 2, "zeta": ["7.0"], "prob": 0.7}]},
+            {"from_mode": 1, "region": [[5.0, 10.0]],
+             "atoms": [{"mode": 2, "zeta": ["3.0"], "prob": 0.6},
+                       {"mode": 2, "zeta": ["8.0"], "prob": 0.4}]},
+            {"from_mode": 2, "region": None,
+             "atoms": [{"mode": 1, "zeta": ["0.5*zeta[0] + 2.0"], "prob": 1.0}]},
+        ]
+    elif name == "exponential_decay":
+        doc["flow"] = {"family": "exponential-decay-to-target",
+                       "params": {"1": {"target": [-2.0], "rate": [0.4]},
+                                  "2": {"target": [12.0], "rate": [0.3]}}}
+        # A static two-atom kernel in mode 1.
+        doc["kernel"][0]["atoms"] = [{"mode": 2, "zeta": ["5.0"], "prob": 0.4},
+                                     {"mode": 2, "zeta": ["7.0"], "prob": 0.6}]
+    elif name == "linear_decay":
+        doc["flow"] = {"family": "linear-decay-to-target",
+                       "params": {"1": {"target": [0.0], "rate": [1.0]},
+                                  "2": {"target": [-1.0], "rate": [2.0]}}}
+    elif name == "per_target_cost":
+        # Control points 1 and 2 coincide: every restart there is a tie,
+        # which goes to the lower index.
+        doc["control_set"].append({"mode": 1, "zeta": [3.0]})
+        doc["costs"]["intervention"] = {"kind": "per_target", "values": [1.3, 1.0, 1.0]}
+        doc["costs"]["intervention_bounds"] = [1.0, 1.3]
+    elif name == "expr_cost":
+        # Distance-dependent cost: nodes restart at either control point.
+        doc["costs"]["intervention"] = {"kind": "expr",
+                                        "expr": "1.0 + 0.05*abs(zeta[0] - y[0])"}
+        doc["costs"]["intervention_bounds"] = [1.0, 1.5]
+    elif name == "zero_intensity":
+        doc["intensity"] = {"1": "0.0", "2": "0.0"}
+        doc["intensity_bound"] = 0.0
+    else:
+        assert name == "rm1"
+    return load_model(doc), density
+
+
+FEATURE_MODELS = ["rm1", "planar_intervening", "affine_intensity_region_split_kernel",
+                  "exponential_decay", "linear_decay", "per_target_cost", "expr_cost",
+                  "zero_intensity"]
+
+
 @pytest.fixture(scope="session")
 def rm1():
     return load_model(MODEL_PATH)

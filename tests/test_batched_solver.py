@@ -14,7 +14,7 @@ import pytest
 
 from pdmp_impulse import valuefn
 from pdmp_impulse.dynamics import hit_time
-from pdmp_impulse.model import StatePoint, load_model
+from pdmp_impulse.model import StatePoint
 from pdmp_impulse.operators import (
     FlowProfile,
     JCurve,
@@ -35,68 +35,12 @@ from pdmp_impulse.valuefn import (
     value_iterate,
 )
 
-from conftest import planar_doc, rm1_doc
+from conftest import FEATURE_MODELS, feature_model
 
 N_T = 64
 EPS = 0.01
 TIME_TOL_REL = 1e-6
 H_TOL = 1e-10
-
-
-def _model(name):
-    """One model per feature the recursion supports, with its grid density."""
-    doc = rm1_doc()
-    density = 30
-    if name == "planar_intervening":
-        doc = planar_doc()
-        doc["costs"] = dict(doc["costs"], running={"1": "0.2 + 0.5*zeta[0]"},
-                            running_bound=2.2)
-        density = 8
-    elif name == "affine_intensity_region_split_kernel":
-        doc["intensity"] = {"1": "0.1 + 0.05*zeta[0]", "2": "1.0"}
-        doc["kernel"] = [
-            {"from_mode": 1, "region": [[0.0, 5.0]],
-             "atoms": [{"mode": 2, "zeta": ["5.0"], "prob": 0.3},
-                       {"mode": 2, "zeta": ["7.0"], "prob": 0.7}]},
-            {"from_mode": 1, "region": [[5.0, 10.0]],
-             "atoms": [{"mode": 2, "zeta": ["3.0"], "prob": 0.6},
-                       {"mode": 2, "zeta": ["8.0"], "prob": 0.4}]},
-            {"from_mode": 2, "region": None,
-             "atoms": [{"mode": 1, "zeta": ["0.5*zeta[0] + 2.0"], "prob": 1.0}]},
-        ]
-    elif name == "exponential_decay":
-        doc["flow"] = {"family": "exponential-decay-to-target",
-                       "params": {"1": {"target": [-2.0], "rate": [0.4]},
-                                  "2": {"target": [12.0], "rate": [0.3]}}}
-        # A static two-atom kernel in mode 1.
-        doc["kernel"][0]["atoms"] = [{"mode": 2, "zeta": ["5.0"], "prob": 0.4},
-                                     {"mode": 2, "zeta": ["7.0"], "prob": 0.6}]
-    elif name == "linear_decay":
-        doc["flow"] = {"family": "linear-decay-to-target",
-                       "params": {"1": {"target": [0.0], "rate": [1.0]},
-                                  "2": {"target": [-1.0], "rate": [2.0]}}}
-    elif name == "per_target_cost":
-        # Control points 1 and 2 coincide: every restart there is a tie,
-        # which goes to the lower index.
-        doc["control_set"].append({"mode": 1, "zeta": [3.0]})
-        doc["costs"]["intervention"] = {"kind": "per_target", "values": [1.3, 1.0, 1.0]}
-        doc["costs"]["intervention_bounds"] = [1.0, 1.3]
-    elif name == "expr_cost":
-        # Distance-dependent cost: nodes restart at either control point.
-        doc["costs"]["intervention"] = {"kind": "expr",
-                                        "expr": "1.0 + 0.05*abs(zeta[0] - y[0])"}
-        doc["costs"]["intervention_bounds"] = [1.0, 1.5]
-    elif name == "zero_intensity":
-        doc["intensity"] = {"1": "0.0", "2": "0.0"}
-        doc["intensity_bound"] = 0.0
-    else:
-        assert name == "rm1"
-    return load_model(doc), density
-
-
-MODELS = ["rm1", "planar_intervening", "affine_intensity_region_split_kernel",
-          "exponential_decay", "linear_decay", "per_target_cost", "expr_cost",
-          "zero_intensity"]
 
 
 def _nodes(model, axes):
@@ -161,9 +105,9 @@ def _flat(stage_field, model):
     return np.concatenate([stage_field[m].ravel() for m in model.mode_ids])
 
 
-@pytest.mark.parametrize("name", MODELS)
+@pytest.mark.parametrize("name", FEATURE_MODELS)
 def test_batched_solver_matches_scalar_path(name):
-    model, density = _model(name)
+    model, density = feature_model(name)
     h = compute_h(model, GridSpec(density=density), tol=H_TOL, n_t=N_T)
     running, matrix = dense_operator(model, h.axes, N_T)
     gop = GridOperator(model, h.axes, n_t=N_T)
@@ -191,7 +135,7 @@ def test_batched_solver_matches_scalar_path(name):
 
 
 def test_node_results_do_not_depend_on_chunk_size(monkeypatch):
-    model, density = _model("affine_intensity_region_split_kernel")
+    model, density = feature_model("affine_intensity_region_split_kernel")
     h = compute_h(model, GridSpec(density=density), tol=H_TOL, n_t=N_T)
     table = value_iterate(model, h, n_max=2, eps=EPS, n_t=N_T)
     monkeypatch.setattr(valuefn, "CHUNK_ELEMENTS", 1)
@@ -234,7 +178,7 @@ def test_lockstep_searches_match_scalar_ones():
 
 
 def test_left_index_is_searchsorted():
-    model, _density = _model("rm1")
+    model, _density = feature_model("rm1")
     geo = _FlowChunk(model, 1, np.array([[0.5], [3.3], [9.9]]), N_T)
     for i, grid in enumerate(geo.tgrid):
         # Grid times, their float neighbours and near misses either side.

@@ -84,6 +84,31 @@ def test_simulate_corrupt_artifact_exit_code(cli_workspace, tmp_path):
     assert code == 4
 
 
+def _command_args(command, artifact, out):
+    extra = ["--n0", "1", "--replicates", "10"] if command == "simulate" else []
+    return [command, "--model", MODEL_PATH, "--out", out, "--artifact", artifact,
+            "--x0", "1:2.0", *extra]
+
+
+@pytest.mark.parametrize("command", ["simulate", "report"])
+@pytest.mark.parametrize("damage", ["truncated", "not_utf8"])
+def test_unreadable_artifact_exit_code(cli_workspace, tmp_path, capsys, command, damage):
+    text = (cli_workspace / "policy.pdmpval").read_bytes()
+    bad = tmp_path / "policy.pdmpval"
+    bad.write_bytes(text[:30] if damage == "truncated" else b"\xff\xfe" + text)
+    assert run_cli(*_command_args(command, bad, tmp_path / "out")) == 4
+    assert "artifact" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "report"])
+def test_malformed_model_with_artifact_exit_code(cli_workspace, tmp_path, command):
+    model = tmp_path / "model.json"
+    model.write_text(MODEL_PATH.read_text()[:30])
+    args = _command_args(command, cli_workspace / "policy.pdmpval", tmp_path / "out")
+    args[2] = model
+    assert run_cli(*args) == 2
+
+
 def test_compute_value_deterministic(tmp_path, monkeypatch):
     # Run "c" solves one grid node per chunk; outputs must not change.
     for sub in ("a", "b", "c"):

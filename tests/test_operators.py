@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pdmp_impulse.dynamics import hit_time, sample_post_jump, sample_sojourn
+from pdmp_impulse.errors import ModelParseError
 from pdmp_impulse.model import as_state, load_model
 from pdmp_impulse.operators import (
     BRANCH_INTERVENE,
@@ -334,3 +335,19 @@ def test_profile_grid_values_match_adaptive_quadrature(rm1, rm1_h):
         assert float(curve.values[idx]) == pytest.approx(
             op_J(rm1, reloc, rm1_h, x, t), abs=1e-9
         )
+
+
+BAD_EPS = [math.nan, math.inf, -math.inf, 0.0, -0.01]
+
+
+@pytest.mark.parametrize("eps", BAD_EPS)
+def test_inf_J_rejects_bad_eps(rm1, eps):
+    one, zero = ConstantEvaluable(1.0), ConstantEvaluable(0.0)
+    with pytest.raises(ModelParseError, match="eps"):
+        inf_J(rm1, one, zero, as_state(1, 2.0), eps=eps)
+
+
+@pytest.mark.parametrize("eps", BAD_EPS)
+def test_Lscript_rejects_bad_eps(rm1, eps):
+    with pytest.raises(ModelParseError, match="eps"):
+        op_Lscript(rm1, ConstantEvaluable(0.0), as_state(1, 2.0), eps)

@@ -220,6 +220,12 @@ def test_exact_recursion_matches_grid_within_refinement(rm1, rm1_h, rm1_table):
             assert abs(exact - coarse_val) <= 4 * refine_gap + 5e-4
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -0.01])
+def test_exact_recursion_rejects_bad_eps(rm1, rm1_h, eps):
+    with pytest.raises(ModelParseError, match="eps"):
+        eval_Vk_exact(rm1, rm1_h, 1, as_state(1, 2.0), eps)
+
+
 def test_exact_recursion_budget_guards(rm1, rm1_h):
     with pytest.raises(ResourceBudgetError):
         eval_Vk_exact(rm1, rm1_h, 4, as_state(1, 2.0), 0.01)

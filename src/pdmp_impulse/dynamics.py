@@ -31,6 +31,7 @@ from scipy.optimize import brentq
 
 from .errors import DomainError, NumericalError, PolicyCoverageError
 from .model import PdmpModel, StatePoint
+from .streams import fill_block, seed_states
 
 MAX_JUMPS = 1_000_000
 
@@ -315,6 +316,15 @@ def _check_start(model: PdmpModel, mode: int, zeta) -> None:
         )
 
 
+def _never_exits(mode: int, zeta) -> NumericalError:
+    """The error for a sojourn that never ends: a zero jump intensity on a
+    flow that never reaches the boundary, with no intervention planned."""
+    return NumericalError(
+        f"flow from {StatePoint(mode, tuple(zeta))} never reaches the boundary; "
+        "bounded exit times are required"
+    )
+
+
 def _raw_step(rt: _SimRuntime, table, mode: int, zeta: tuple[float, ...], budget: int,
               rng: np.random.Generator):
     """One jump of the budget-augmented process from (mode, zeta) at clock 0.
@@ -331,7 +341,10 @@ def _raw_step(rt: _SimRuntime, table, mode: int, zeta: tuple[float, ...], budget
     if budget:
         wait, r, y_idx = table.lookup(mode, zeta, budget)
         intervene = not wait and r < ts
-    sojourn, cap_hit = rt.sample_sojourn(mode, zeta, r if intervene else ts, rng.random())
+    cap = r if intervene else ts
+    if cap == math.inf and rt.lam_const[mode] == 0.0:
+        raise _never_exits(mode, zeta)
+    sojourn, cap_hit = rt.sample_sojourn(mode, zeta, cap, rng.random())
     pre = rt.position[mode](zeta, sojourn)
     if cap_hit and intervene:
         if y_idx < 0:
@@ -427,7 +440,8 @@ BATCH_REPLICATES = 512
 result depends on it: every replicate keeps its own stream and arithmetic."""
 
 DRAW_BLOCK = 64
-"""Uniforms drawn from a replicate's generator at a time."""
+"""Uniforms of a replicate's stream computed at a time.  No result depends
+on it."""
 
 
 @dataclass(frozen=True)
@@ -445,36 +459,46 @@ class ReplicateCosts:
 
 
 class _Streams:
-    """Uniform streams of one lockstep batch.
+    """Uniform streams of one lockstep batch, held as arrays.
 
-    Row j belongs to replicate reps[j] and draws from
-    ``np.random.default_rng([seed, reps[j]])`` in blocks of DRAW_BLOCK,
-    refilled from the same generator.  ``Generator.random(n)`` returns the
-    doubles of n scalar ``random()`` calls, so each row sees the stream the
-    single-path simulator would.
+    Row j belongs to replicate reps[j] and draws the doubles of
+    ``np.random.default_rng([seed, reps[j]])`` in blocks of DRAW_BLOCK, which
+    :mod:`.streams` computes for all spent rows at once from their PCG64
+    states.  Each row thus sees the stream the single-path simulator would.
+    The first block of the first row is checked against numpy's own
+    generator, so a numpy release that changes SeedSequence or PCG64 fails
+    loudly instead of changing every estimate.
     """
 
     def __init__(self, seed: int, reps: np.ndarray):
-        self.gens = np.empty(reps.size, dtype=object)
+        self.state, self.inc = seed_states(seed, reps)
         self.buf = np.empty((reps.size, DRAW_BLOCK))
-        for j, rep in enumerate(reps.tolist()):
-            self.gens[j] = np.random.default_rng([seed, rep])
-            self.gens[j].random(out=self.buf[j])
+        self.state = fill_block(self.state, self.inc, self.buf)
         self.cur = np.zeros(reps.size, dtype=np.int64)
+        if reps.size:
+            want = np.random.default_rng([seed, int(reps[0])]).random(DRAW_BLOCK)
+            if not np.array_equal(want.view(np.uint64), self.buf[0].view(np.uint64)):
+                raise NumericalError(
+                    f"replicate streams differ from default_rng([seed, r]) of numpy "
+                    f"{np.__version__}; its SeedSequence or PCG64 has changed"
+                )
 
     def draw(self, rows: np.ndarray) -> np.ndarray:
         """The next uniform of each of the given rows."""
         at = self.cur[rows]
         spent = at == DRAW_BLOCK
         if spent.any():
-            for j in rows[spent]:
-                self.gens[j].random(out=self.buf[j])
+            refill = rows[spent]
+            block = np.empty((refill.size, DRAW_BLOCK))
+            self.state[refill] = fill_block(self.state[refill], self.inc[refill], block)
+            self.buf[refill] = block
             at[spent] = 0
         self.cur[rows] = at + 1
         return self.buf[rows, at]
 
     def keep(self, mask: np.ndarray) -> None:
-        self.gens, self.buf, self.cur = self.gens[mask], self.buf[mask], self.cur[mask]
+        self.state, self.inc = self.state[mask], self.inc[mask]
+        self.buf, self.cur = self.buf[mask], self.cur[mask]
 
 
 def lockstep_costs(model: PdmpModel, table, x0: StatePoint, budget: int, horizon: float,
@@ -539,6 +563,11 @@ def _lockstep_batch(rt: _SimRuntime, table, x0: StatePoint, n0: int, horizon: fl
                     intervene[rows] = True
                     cap[rows] = r
                     y_idx[rows] = y
+
+        for m, rows in groups:
+            if rt.lam_const[m] == 0.0 and np.isinf(cap[rows]).any():
+                j = rows[np.argmax(np.isinf(cap[rows]))]
+                raise _never_exits(m, pos[j].tolist())
 
         # Sojourn truncated at the cap, as _SimRuntime.sample_sojourn.
         u = streams.draw(np.arange(n))

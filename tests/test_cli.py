@@ -265,3 +265,16 @@ def test_simulate_bad_start_point_exit_code(cli_workspace, tmp_path, capsys, x0)
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "start" in err and "Traceback" not in err
     assert not (tmp_path / "cost_report.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_negative_seed_exit_code(cli_workspace, tmp_path, capsys, command):
+    args = ["--model", MODEL_PATH, "--out", tmp_path, "--seed", "-1"]
+    if command == "simulate":
+        args += ["--artifact", cli_workspace / "policy.pdmpval", "--x0", "1:2.0",
+                 "--n0", "0,1", "--replicates", "100"]
+    code = run_cli(command, *args)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--seed" in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from pdmp_impulse.dynamics import (
     default_horizon,
     flow_at,
     hit_time,
+    lockstep_costs,
     sample_post_jump,
     sample_sojourn,
     simulate_uncontrolled,
@@ -304,3 +306,26 @@ def test_json_lines_round_trip(rm1):
     payload = _json.loads(rec.to_json_line())
     assert payload["start"] == [1, [2.0]]
     assert len(payload["events"]) == len(rec.events)
+
+
+def test_zero_intensity_flow_that_never_exits_fails_cleanly():
+    """A mode with no jumps whose flow settles inside its region has no next
+    jump; both engines refuse it, as compute_h does, before drawing."""
+    doc = rm1_doc()
+    doc["flow"] = {"family": "exponential-decay-to-target",
+                   "params": {m: {"target": [5.0], "rate": [1.0]} for m in ("1", "2")}}
+    doc["intensity"] = {"1": "0.0", "2": "0.0"}
+    doc["intensity_bound"] = 0.0
+    model = load_model(doc)
+    x0 = as_state(1, 2.0)
+
+    class NoDraws:
+        def random(self):
+            raise AssertionError("a uniform was drawn")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="bounded exit times are required"):
+            simulate_uncontrolled(model, x0, 30.0, NoDraws())
+        with pytest.raises(NumericalError, match="bounded exit times are required"):
+            lockstep_costs(model, None, x0, 0, 30.0, 0, 4)

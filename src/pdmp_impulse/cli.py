@@ -27,7 +27,7 @@ from .errors import (
     PdmpError,
 )
 from .model import StatePoint, load_model, validate_model
-from .operators import BRANCH_INTERVENE, BRANCH_WAIT, FlowProfile, JCurve, MinRelocationValue
+from .operators import BRANCH_INTERVENE, BRANCH_WAIT, JCurve, MinRelocationValue, state_profile
 from .valuefn import GridSpec, compute_h, value_iterate
 
 EXIT_OK = 0
@@ -235,13 +235,13 @@ def cmd_report(args) -> int:
             prev = table.value_store(k - 1)
             phi = [prev.eval(y) for y in table.control_set]
             reloc = MinRelocationValue(model, phi)
-            profile = FlowProfile(model, x0, n_t=512)
-            curve = JCurve(profile, reloc, prev)
+            curve = JCurve(state_profile(model, x0, 512), reloc, prev)
             name = f"j_profile_k{k}_m{x0.mode}_" + "_".join(
                 str(z) for z in x0.zeta
             ) + ".csv"
             _write_csv(out_dir / name, ["t", "J"],
-                       [[float(t), float(v)] for t, v in zip(curve.tgrid, curve.values)])
+                       [[float(t), float(v)]
+                        for t, v in zip(curve.profile.tgrid[0], curve.values[0])])
 
     samples = out_dir / "costs_samples.csv"
     if samples.exists():

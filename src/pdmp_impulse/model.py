@@ -18,6 +18,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .errors import (
+    DomainError,
     KernelCoverageError,
     ModelParseError,
     ModelValidationError,
@@ -648,6 +649,8 @@ def validate_model(model: PdmpModel, grid_density: int = 50,
     the triangle property) are asserted; Lipschitz regularity along the flow is
     only estimated by finite differences and reported, never asserted.
     """
+    if rng_seed < 0:
+        raise DomainError(f"seed must be non-negative, got {rng_seed}")
     rng = np.random.default_rng(rng_seed)
     checks: list[CheckResult] = []
     constants: dict[str, float] = {}

@@ -6,11 +6,14 @@ natural jump, J the value of scheduling an intervention at a chosen time, M
 the best immediate relocation over the finite control set, and the
 script-L composition performs the single-jump-or-intervention minimization.
 
-One-off operator calls use adaptive quadrature (relative tolerance 1e-10).
-The infimum of J over time runs on a uniform time grid refined by
-golden-section search, with the epsilon-threshold time located by bisection;
-grid sweeps reuse :class:`FlowProfile`, which precomputes the geometry along
-the flow from one state.
+One-off F, K and J calls use adaptive quadrature (relative tolerance 1e-10).
+The jump-or-intervene curve has one implementation, batched over states:
+:class:`FlowProfile` holds the geometry along the flows from same-mode states
+on uniform time grids, :class:`JCurve` the intervention-value curves on them,
+and :class:`CurveMinimum` refines each infimum by golden-section search and
+bisects for the eps-threshold time, in lockstep over the curves.  The grid
+solver runs it over chunks of grid nodes; :func:`inf_J` and
+:func:`op_Lscript` over one state.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .dynamics import IntensityPath, hit_time
+from .dynamics import IntensityPath, _check_start, hit_time
 from .errors import KernelCoverageError, ModelParseError, NumericalError
 from .model import PdmpModel, StatePoint
-from .quadrature import interval_nodes, panel_cumulative, panel_nodes
+from .quadrature import GL_ORDER, interval_nodes, panel_cumulative, panel_nodes
 
 BRANCH_WAIT = "wait"
 BRANCH_INTERVENE = "intervene"
@@ -164,218 +167,340 @@ def collect_atom_records(model: PdmpModel, mode: int,
     return records
 
 
-class FlowProfile:
-    """Geometry along the flow from one state, on a uniform time grid.
+# Element budget of the batched curve: no (states, points) array along the
+# flows holds more floats than this, which bounds its working set at any grid
+# size.  Results do not depend on it.
+CHUNK_ELEMENTS = 1 << 14
 
-    Holds Gauss-Legendre nodes per grid panel together with the damping
-    factor exp(-alpha*s - Lambda(s)), the intensity, the running cost, and the
-    kernel atoms at every node, so value curves for different cost-to-go
-    functions reuse the same precomputation.
+
+def chunk_rows(points: int) -> int:
+    """States per batch whose (states, points) arrays keep to the element
+    budget."""
+    return max(1, CHUNK_ELEMENTS // points)
+
+
+class FlowProfile:
+    """Flows from a batch of same-mode states, on each state's uniform time
+    grid over [0, t*].
+
+    The profile holds (states, n_t) grids; :meth:`quadrature` gives the
+    (states, (n_t - 1) * GL_ORDER) arrays at the Gauss-Legendre panel nodes
+    for one block of :meth:`blocks` at a time.  A constant intensity stays a
+    scalar.  The states are taken as interior; :func:`state_profile` checks
+    one first.
     """
 
-    def __init__(self, model: PdmpModel, x: StatePoint, n_t: int = 512):
+    def __init__(self, model: PdmpModel, mode: int, zeta: np.ndarray, n_t: int):
+        if n_t < 2:
+            raise ModelParseError("n_t must be at least 2")
         self.model = model
-        self.x = x
+        self.mode = mode
+        self.zeta = zeta
+        self.size = zeta.shape[0]
         self.alpha = model.discount
-        self.t_star = hit_time(model, x)
-        if not np.isfinite(self.t_star):
+        hit = model.flow.hit_fn[mode]
+        self.t_star = np.array([hit(z) for z in zeta.tolist()], dtype=float)
+        unbounded = ~np.isfinite(self.t_star)
+        if unbounded.any():
+            x = StatePoint(mode, tuple(zeta[int(np.argmax(unbounded))]))
             raise NumericalError(
                 f"flow from {x} never reaches the boundary; bounded exit times "
                 "are required"
             )
-        self.n_t = n_t
-        zeta = np.asarray(x.zeta, dtype=float)
-        self.ipath = IntensityPath(model, x.mode, zeta, self.t_star)
-        self.tgrid = np.linspace(0.0, self.t_star, n_t)
-        s, wq = panel_nodes(self.tgrid)
-        self.s = s
-        self.wq = wq
-        pos = np.asarray(model.flow.position(x.mode, zeta, s))
-        self.pos = pos if pos.ndim == 2 else pos[None, :]
-        lam_s = np.asarray(self.ipath.lam(s), dtype=float)
-        cum_s = np.asarray(self.ipath.cumulative(s), dtype=float)
-        self.lam_s = lam_s
-        self.damp_s = np.exp(-self.alpha * s - cum_s)
-        self.f_s = model.costs.running_along(x.mode, self.pos)
-        cum_grid = np.asarray(self.ipath.cumulative(self.tgrid), dtype=float)
-        self.damp_grid = np.exp(-self.alpha * self.tgrid - cum_grid)
-        self.pos_grid = np.asarray(model.flow.position(x.mode, zeta, self.tgrid))
-        self.running_grid = panel_cumulative(self.damp_s * self.f_s, wq)
-        end = np.asarray(model.flow.position(x.mode, zeta, self.t_star))
-        self.end_point = StatePoint(x.mode, tuple(float(v) for v in end))
-        self.end_atoms = model.kernel.atoms_at(x.mode, end)
-        self.static_atoms = model.kernel.static_atoms_for(x.mode)
-        if self.static_atoms is None:
-            self.atom_records = collect_atom_records(model, x.mode, self.pos)
-        else:
-            self.atom_records = [
-                AtomRecord(
-                    np.arange(self.s.size),
-                    a_mode,
-                    np.broadcast_to(np.asarray(a_pos), (self.s.size, len(a_pos))),
-                    prob,
-                    j,
-                )
-                for j, (a_mode, a_pos, prob) in enumerate(self.static_atoms)
-            ]
+        expr = model.intensity[mode]
+        self.lam_const = expr.constant_value() if expr.is_constant else None
+        self.ipaths = None if expr.is_constant else [
+            IntensityPath(model, mode, z, t) for z, t in zip(zeta, self.t_star)
+        ]
+        # np.linspace(0, t*, n_t) for every state at once.
+        self.step = self.t_star / (n_t - 1)
+        self.tgrid = np.arange(n_t) * self.step[:, None]
+        self.tgrid[:, -1] = self.t_star
+        self.block = chunk_rows((n_t - 1) * GL_ORDER)
 
-    # -- building blocks -------------------------------------------------
+    def blocks(self):
+        """State indices of consecutive blocks for :meth:`quadrature`."""
+        for lo in range(0, self.size, self.block):
+            yield np.arange(lo, min(lo + self.block, self.size))
 
-    def _static_qw(self, w) -> float:
-        return float(
-            sum(
-                prob * w.eval(StatePoint(a_mode, tuple(a_pos)))
-                for a_mode, a_pos, prob in self.static_atoms
-            )
-        )
+    def quadrature(self, rows: np.ndarray):
+        """Panel weights, flow positions, intensity, damping and running cost
+        at the Gauss-Legendre panel nodes of states ``rows``."""
+        s, wq = panel_nodes(self.tgrid[rows])
+        pos = self.flow(s, rows)
+        lam, cum = self.intensity(rows, s)
+        damp = np.exp(-self.alpha * s - cum)
+        del s, cum
+        return wq, pos, lam, damp, self.running(pos)
 
-    def qw_at_nodes(self, w) -> np.ndarray:
-        """Kernel average of w at every quadrature node along the flow."""
-        if self.static_atoms is not None:
-            return np.full(self.s.size, self._static_qw(w))
-        out = np.zeros(self.s.size)
-        for rec in self.atom_records:
-            out[rec.indices] += rec.prob * eval_many(w, rec.mode, rec.positions)
-        return out
+    def damping(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """exp(-alpha*t - Lambda(t)) along the flows of ``rows``."""
+        return np.exp(-self.alpha * t - self.intensity(rows, t)[1])
 
-    def qw_at_end(self, w) -> float:
-        return float(sum(prob * w.eval(point) for point, prob in self.end_atoms))
+    def left_index(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """searchsorted(tgrid, t, side="right") - 1 per state, for t >= 0.
 
-    def qw_at_points(self, w, s_points: np.ndarray) -> np.ndarray:
-        if self.static_atoms is not None:
-            return np.full(len(s_points), self._static_qw(w))
-        pos = np.asarray(
-            self.model.flow.position(self.x.mode, np.asarray(self.x.zeta), s_points)
-        )
-        if pos.ndim == 1:
-            pos = pos[None, :]
-        out = np.zeros(len(s_points))
-        for rec in collect_atom_records(self.model, self.x.mode, pos):
-            out[rec.indices] += rec.prob * eval_many(w, rec.mode, rec.positions)
-        return out
+        The uniform step locates the grid cell to within one; comparing
+        against the grid itself settles it.
+        """
+        last = self.tgrid.shape[1] - 1
+        step = self.step[rows]
+        guess = np.divide(t, step, out=np.zeros_like(t), where=step > 0)
+        j = np.clip(np.floor(guess).astype(np.int64), 0, last)
+        j -= self.tgrid[rows, j] > t
+        j += (j < last) & (self.tgrid[rows, np.minimum(j + 1, last)] <= t)
+        return j
 
-    def damp_at(self, t: float) -> float:
-        return math.exp(-self.alpha * t - float(self.ipath.cumulative(t)))
+    def flow(self, t: np.ndarray, rows=None) -> np.ndarray:
+        """Positions after times t: one time per state gives (n, d), one row
+        of times per state gives (n, k, d)."""
+        zeta = self.zeta if rows is None else self.zeta[rows]
+        if t.ndim == 2:
+            zeta = zeta[:, None, :]
+        return np.asarray(self.model.flow.position(self.mode, zeta, t))
 
-    def wait_value(self, w) -> float:
-        """Expected discounted cost carrying w past the next natural jump."""
-        qw = self.qw_at_nodes(w)
-        inner = panel_cumulative(self.damp_s * (self.f_s + self.lam_s * qw), self.wq)[-1]
-        return float(inner + self.damp_grid[-1] * self.qw_at_end(w))
+    def intensity(self, rows: np.ndarray, t: np.ndarray):
+        """Intensity and cumulative intensity along the flows of ``rows`` at
+        times t (one time or one row of times per state)."""
+        if self.ipaths is None:
+            return self.lam_const, self.lam_const * t
+        lam = np.empty_like(t)
+        cum = np.empty_like(t)
+        for k, i in enumerate(rows):
+            lam[k] = self.ipaths[i].lam(t[k])
+            cum[k] = self.ipaths[i].cumulative(t[k])
+        return lam, cum
 
-    def expected_jump_discount(self) -> float:
-        """E[exp(-alpha * S1)] for the sojourn law from this state."""
-        inner = panel_cumulative(self.damp_s * self.lam_s, self.wq)[-1]
-        return float(inner + self.damp_grid[-1])
+    def running(self, pos: np.ndarray) -> np.ndarray:
+        flat = pos.reshape(-1, pos.shape[-1])
+        return self.model.costs.running_along(self.mode, flat).reshape(pos.shape[:-1])
+
+
+def state_profile(model: PdmpModel, x: StatePoint, n_t: int) -> FlowProfile:
+    """The flow profile of the single state x, which must be interior to its
+    region."""
+    _check_start(model, x.mode, x.zeta)
+    return FlowProfile(model, x.mode, np.asarray([x.zeta], dtype=float), n_t)
 
 
 class JCurve:
-    """The intervention-value curve t -> J(v, w)(x, t) on a flow profile."""
+    """Intervention-value curves t -> J(v, w)(x, t) from every state x of a
+    flow profile.
+
+    ``values`` holds each curve on its state's time grid; :meth:`at`
+    evaluates any subset of the curves, one time per curve, consistently
+    with the grid values.
+    """
 
     def __init__(self, profile: FlowProfile, v, w):
         self.profile = profile
         self.v = v
         self.w = w
-        self._static_qw = (
-            profile._static_qw(w) if profile.static_atoms is not None else None
-        )
-        qw = profile.qw_at_nodes(w)
-        self._g_s = profile.damp_s * (profile.f_s + profile.lam_s * qw)
-        self._cum = panel_cumulative(self._g_s, profile.wq)
-        pos_grid = profile.pos_grid
-        v_grid = eval_many(v, profile.x.mode, pos_grid)
-        # The terminal grid point sits on the boundary; evaluate v there exactly.
-        v_grid = np.asarray(v_grid, dtype=float)
-        v_grid[-1] = v.eval(profile.end_point)
-        self.values = self._cum + profile.damp_grid * v_grid
+        static = profile.model.kernel.static_atoms_for(profile.mode)
+        self.static_qw = None if static is None else float(sum(
+            prob * w.eval(StatePoint(a_mode, tuple(a_pos)))
+            for a_mode, a_pos, prob in static
+        ))
+        self.cum = np.empty(profile.tgrid.shape)
+        self.values = np.empty(profile.tgrid.shape)
+        for rows in profile.blocks():
+            self.cum[rows] = panel_cumulative(*self._integrand(*profile.quadrature(rows)))
+            tgrid = profile.tgrid[rows]
+            self.values[rows] = (self.cum[rows] + profile.damping(rows, tgrid)
+                                 * self.v_at(profile.flow(tgrid, rows)))
+        self.v_start = self.v_at(profile.zeta)
 
-    @property
-    def tgrid(self) -> np.ndarray:
-        return self.profile.tgrid
+    def _integrand(self, wq, pos, lam, damp, f):
+        """Running cost plus jump term along the flows, with its weights.
 
-    def at(self, t: float) -> float:
-        """J at an arbitrary time, consistent with the grid values."""
+        Taking one block's quadrature arrays as arguments frees them as soon
+        as the block is integrated."""
+        return damp * (f + lam * self.kernel_average(pos)), wq
+
+    def v_at(self, pos: np.ndarray) -> np.ndarray:
+        flat = pos.reshape(-1, pos.shape[-1])
+        return eval_many(self.v, self.profile.mode, flat).reshape(pos.shape[:-1])
+
+    def kernel_average(self, pos: np.ndarray):
+        """Kernel average of w at pre-jump positions (..., d); for a static
+        kernel the one scalar average."""
+        if self.static_qw is not None:
+            return self.static_qw
         p = self.profile
-        if t >= p.t_star:
-            return float(self.values[-1])
-        if t <= 0.0:
-            flow_point = StatePoint(p.x.mode, p.x.zeta)
-            return float(self.v.eval(flow_point))
-        left = int(np.searchsorted(p.tgrid, t, side="right")) - 1
-        base = self._cum[left]
-        s_mini, w_mini = interval_nodes(float(p.tgrid[left]), t)
-        pos = np.asarray(p.model.flow.position(p.x.mode, np.asarray(p.x.zeta), s_mini))
-        lam = np.asarray(p.ipath.lam(s_mini), dtype=float)
-        cum = np.asarray(p.ipath.cumulative(s_mini), dtype=float)
-        damp = np.exp(-p.alpha * s_mini - cum)
-        f_vals = p.model.costs.running_along(p.x.mode, pos)
-        if self._static_qw is not None:
-            qw = self._static_qw
-        else:
-            qw = p.qw_at_points(self.w, s_mini)
-        partial = float(np.sum(w_mini * damp * (f_vals + lam * qw)))
-        end_pos = np.asarray(p.model.flow.position(p.x.mode, np.asarray(p.x.zeta), t))
-        v_val = self.v.eval(StatePoint(p.x.mode, tuple(float(z) for z in end_pos)))
-        return float(base + partial + p.damp_at(t) * v_val)
+        flat = pos.reshape(-1, pos.shape[-1])
+        out = np.zeros(flat.shape[0])
+        for rec in collect_atom_records(p.model, p.mode, flat):
+            out[rec.indices] += rec.prob * eval_many(self.w, rec.mode, rec.positions)
+        return out.reshape(pos.shape[:-1])
+
+    def wait_value(self) -> np.ndarray:
+        """Expected discounted cost carrying w past the next natural jump,
+        from every state: the curve's integral up to t* plus the damped
+        kernel average of w at the boundary, taken over the exact end atoms."""
+        p = self.profile
+        end_qw = np.array([op_Qw(p.model, self.w, StatePoint(p.mode, z)) for z in p.flow(p.t_star)])
+        return self.cum[:, -1] + p.damping(np.arange(p.size), p.t_star) * end_qw
+
+    def at(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """J of states ``rows`` at times t, consistent with the grid values."""
+        p = self.profile
+        out = np.empty(t.shape)
+        past = t >= p.t_star[rows]
+        start = ~past & (t <= 0.0)
+        out[past] = self.values[rows[past], -1]
+        out[start] = self.v_start[rows[start]]
+        inner = ~(past | start)
+        if inner.any():
+            rows, t = rows[inner], t[inner]
+            left = p.left_index(rows, t)
+            s, wq = interval_nodes(p.tgrid[rows, left], t)
+            lam, cum = p.intensity(rows, s)
+            damp = np.exp(-p.alpha * s - cum)
+            pos = p.flow(s, rows)
+            partial = (wq * damp * (p.running(pos) + lam * self.kernel_average(pos))).sum(axis=1)
+            out[inner] = (self.cum[rows, left] + partial
+                          + p.damping(rows, t) * self.v_at(p.flow(t, rows)))
+        return out
 
 
-def _golden_min(fn: Callable[[float], float], lo: float, hi: float,
-                tol: float) -> tuple[float, float]:
-    """Golden-section minimum of fn on [lo, hi] down to interval width tol."""
-    a, b = lo, hi
+def _golden_min(fn, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray):
+    """Golden-section minima of curves on [lo, hi] down to interval width
+    tol, in lockstep; ``fn(i, t)`` evaluates curves i at times t.  A curve
+    drops out once its interval is within tol."""
+    a, b = lo.copy(), hi.copy()
     h = b - a
-    if h <= tol:
-        mid = 0.5 * (a + b)
-        return mid, fn(mid)
+    best_t = np.empty(a.size)
+    best_f = np.empty(a.size)
+    short = np.nonzero(h <= tol)[0]
+    if short.size:
+        best_t[short] = 0.5 * (a[short] + b[short])
+        best_f[short] = fn(short, best_t[short])
+    act = np.nonzero(h > tol)[0]
     c = a + GOLDEN_RATIO_STEP * h
     d = b - GOLDEN_RATIO_STEP * h
-    fc, fd = fn(c), fn(d)
-    best_t, best_f = (c, fc) if fc <= fd else (d, fd)
-    while h > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + GOLDEN_RATIO_STEP * h
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = b - GOLDEN_RATIO_STEP * h
-            fd = fn(d)
-        if fc < best_f:
-            best_t, best_f = c, fc
-        if fd < best_f:
-            best_t, best_f = d, fd
+    fc = np.empty(a.size)
+    fd = np.empty(a.size)
+    both = fn(np.concatenate([act, act]), np.concatenate([c[act], d[act]]))
+    fc[act], fd[act] = both[: act.size], both[act.size:]
+    left = fc[act] <= fd[act]
+    best_t[act] = np.where(left, c[act], d[act])
+    best_f[act] = np.where(left, fc[act], fd[act])
+    while act.size:
+        left = fc[act] < fd[act]
+        lt, rt = act[left], act[~left]
+        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
+        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
+        h[act] = b[act] - a[act]
+        c[lt] = a[lt] + GOLDEN_RATIO_STEP * h[lt]
+        d[rt] = b[rt] - GOLDEN_RATIO_STEP * h[rt]
+        f_new = fn(act, np.where(left, c[act], d[act]))
+        fc[lt] = f_new[left]
+        fd[rt] = f_new[~left]
+        for probe, f_probe in ((c, fc), (d, fd)):
+            better = act[f_probe[act] < best_f[act]]
+            best_t[better] = probe[better]
+            best_f[better] = f_probe[better]
+        act = act[h[act] > tol[act]]
     return best_t, best_f
 
 
-def _first_entry(curve: JCurve, lo: float, hi: float, threshold: float,
-                 tol: float) -> float:
-    """Bisect for the earliest time in (lo, hi] where the curve dips below
-    threshold, assuming curve.at(hi) < threshold."""
-    f_lo = curve.at(lo)
-    if f_lo < threshold:
-        return lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if curve.at(mid) < threshold:
-            hi = mid
-        else:
-            lo = mid
+def _first_entry(fn, lo: np.ndarray, hi: np.ndarray, threshold: np.ndarray,
+                 tol: np.ndarray) -> np.ndarray:
+    """Bisect, in lockstep over curves, for the earliest time in (lo, hi]
+    where each curve dips below its threshold, assuming it is below at hi;
+    ``fn(i, t)`` evaluates curves i at times t."""
+    lo, hi = lo.copy(), hi.copy()
+    every = np.arange(lo.size)
+    at_lo = fn(every, lo) < threshold
+    hi[at_lo] = lo[at_lo]
+    act = every[~at_lo & (hi - lo > tol)]
+    while act.size:
+        mid = 0.5 * (lo[act] + hi[act])
+        below = fn(act, mid) < threshold[act]
+        hi[act[below]] = mid[below]
+        lo[act[~below]] = mid[~below]
+        act = act[hi[act] - lo[act] > tol[act]]
     return hi
+
+
+class CurveMinimum:
+    """Infimum of every curve of a :class:`JCurve`, and on request the
+    eps-threshold times.
+
+    A curve is constant past t*, so its grid minimum refined by
+    golden-section search over the two neighbouring cells gives ``value``;
+    ``refined`` marks the curves where the search beat the grid.
+    """
+
+    def __init__(self, curve: JCurve, time_tol_rel: float):
+        p = curve.profile
+        self.curve = curve
+        states = np.arange(p.size)
+        last = p.tgrid.shape[1] - 1
+        self.tol = np.maximum(time_tol_rel * np.maximum(p.t_star, 1e-30), 1e-300)
+        l_star = np.argmin(curve.values, axis=1)
+        grid_min = curve.values[states, l_star]
+        t_ref, f_ref = _golden_min(
+            curve.at, p.tgrid[states, np.maximum(l_star - 1, 0)],
+            p.tgrid[states, np.minimum(l_star + 1, last)], self.tol,
+        )
+        self.refined = f_ref < grid_min
+        self.value = np.where(self.refined, f_ref, grid_min)
+        self.t_min = np.where(self.refined, t_ref, p.tgrid[states, l_star])
+
+    def threshold_time(self, rows: np.ndarray, eps: float) -> np.ndarray:
+        """Earliest time at which the curves ``rows`` are strictly below
+        their infimum plus eps, scanning upward from 0: bisected inside the
+        first grid cell whose right end is below the band, or else inside
+        the refined cell up to t_min."""
+        curve, p = self.curve, self.curve.profile
+        threshold = self.value[rows] + eps
+        below = curve.values[rows] < threshold[:, None]
+        idx = np.argmax(below, axis=1)
+        on_grid = below[np.arange(rows.size), idx]
+        left_min = p.left_index(rows, self.t_min[rows])
+        lo = np.where(on_grid, p.tgrid[rows, np.maximum(idx - 1, 0)], p.tgrid[rows, left_min])
+        hi = np.where(on_grid, p.tgrid[rows, idx], self.t_min[rows])
+        r = np.zeros(rows.size)
+        bisect_at = np.nonzero(~on_grid | (idx > 0))[0]
+        if bisect_at.size:
+            sub = rows[bisect_at]
+            r[bisect_at] = _first_entry(
+                lambda i, t: curve.at(sub[i], t), lo[bisect_at], hi[bisect_at],
+                threshold[bisect_at], self.tol[sub],
+            )
+        return r
 
 
 # --------------------------------------------------------------------------
 # Operator evaluations
 
 
-def _damping_factory(model: PdmpModel, x: StatePoint, t_star: float):
+def _flow_integral(model: PdmpModel, x: StatePoint, t_star: float, cap: float,
+                   w=None):
+    """Adaptive quadrature over [0, cap] of the damped running cost along the
+    flow from x, plus the jump term lam * Qw when a cost-to-go w is given;
+    returns the integral and the damping s -> exp(-alpha*s - Lambda(s))."""
     ipath = IntensityPath(model, x.mode, np.asarray(x.zeta), t_star)
+    zeta = np.asarray(x.zeta)
 
     def damp(s: float) -> float:
         return math.exp(-model.discount * s - float(ipath.cumulative(s)))
 
-    return damp, ipath
+    def integrand(s):
+        pos = np.asarray(model.flow.position(x.mode, zeta, s))
+        running = model.costs.running_at(x.mode, pos)
+        if w is None:
+            return damp(s) * running
+        point = StatePoint(x.mode, tuple(float(z) for z in pos))
+        lam = model.intensity_at(x.mode, pos)
+        qw = op_Qw(model, w, point) if lam != 0.0 else 0.0
+        return damp(s) * (running + lam * qw)
+
+    if cap <= 0.0:
+        return 0.0, damp
+    value, _err = quad(integrand, 0.0, cap, epsabs=1e-13, epsrel=1e-10, limit=200)
+    return value, damp
 
 
 def op_F(model: PdmpModel, x: StatePoint, t: float) -> float:
@@ -383,18 +508,7 @@ def op_F(model: PdmpModel, x: StatePoint, t: float) -> float:
     if t < 0:
         raise ModelParseError("t must be nonnegative")
     ts = hit_time(model, x)
-    cap = min(t, ts)
-    if cap == 0.0:
-        return 0.0
-    damp, _ = _damping_factory(model, x, ts)
-    zeta = np.asarray(x.zeta)
-
-    def integrand(s):
-        pos = np.asarray(model.flow.position(x.mode, zeta, s))
-        return damp(s) * model.costs.running_at(x.mode, pos)
-
-    value, _err = quad(integrand, 0.0, cap, epsabs=1e-13, epsrel=1e-10, limit=200)
-    return float(value)
+    return float(_flow_integral(model, x, ts, min(t, ts))[0])
 
 
 def op_Qw(model: PdmpModel, w, pre: StatePoint) -> float:
@@ -406,18 +520,8 @@ def op_Qw(model: PdmpModel, w, pre: StatePoint) -> float:
 def op_K(model: PdmpModel, w, x: StatePoint) -> float:
     """Value of waiting for the natural jump, carrying cost-to-go w."""
     ts = hit_time(model, x)
-    damp, ipath = _damping_factory(model, x, ts)
-    zeta = np.asarray(x.zeta)
-
-    def integrand(s):
-        pos = np.asarray(model.flow.position(x.mode, zeta, s))
-        point = StatePoint(x.mode, tuple(float(z) for z in pos))
-        lam = model.intensity_at(x.mode, pos)
-        qw = op_Qw(model, w, point) if lam != 0.0 else 0.0
-        return damp(s) * (model.costs.running_at(x.mode, pos) + lam * qw)
-
-    inner, _err = quad(integrand, 0.0, ts, epsabs=1e-13, epsrel=1e-10, limit=200)
-    end = np.asarray(model.flow.position(x.mode, zeta, ts))
+    inner, damp = _flow_integral(model, x, ts, ts, w)
+    end = np.asarray(model.flow.position(x.mode, np.asarray(x.zeta), ts))
     end_point = StatePoint(x.mode, tuple(float(z) for z in end))
     return float(inner + damp(ts) * op_Qw(model, w, end_point))
 
@@ -436,21 +540,8 @@ def op_J(model: PdmpModel, v, w, x: StatePoint, t: float) -> float:
         raise ModelParseError("t must be nonnegative")
     ts = hit_time(model, x)
     cap = min(t, ts)
-    damp, _ = _damping_factory(model, x, ts)
-    zeta = np.asarray(x.zeta)
-
-    def integrand(s):
-        pos = np.asarray(model.flow.position(x.mode, zeta, s))
-        point = StatePoint(x.mode, tuple(float(z) for z in pos))
-        lam = model.intensity_at(x.mode, pos)
-        qw = op_Qw(model, w, point) if lam != 0.0 else 0.0
-        return damp(s) * (model.costs.running_at(x.mode, pos) + lam * qw)
-
-    if cap > 0.0:
-        inner, _err = quad(integrand, 0.0, cap, epsabs=1e-13, epsrel=1e-10, limit=200)
-    else:
-        inner = 0.0
-    stop = np.asarray(model.flow.position(x.mode, zeta, cap))
+    inner, damp = _flow_integral(model, x, ts, cap, w)
+    stop = np.asarray(model.flow.position(x.mode, np.asarray(x.zeta), cap))
     stop_point = StatePoint(x.mode, tuple(float(z) for z in stop))
     return float(inner + damp(cap) * v.eval(stop_point))
 
@@ -459,6 +550,16 @@ def check_eps(eps: float) -> None:
     """Reject an eps that is not a positive finite number."""
     if not (math.isfinite(eps) and eps > 0):
         raise ModelParseError(f"eps must be positive and finite; got {eps!r}")
+
+
+_ONE_STATE = np.arange(1)
+
+
+def _one_state_inf(curve: JCurve, eps: float, time_tol_rel: float) -> InfJResult:
+    low = CurveMinimum(curve, time_tol_rel)
+    return InfJResult(inf_value=float(low.value[0]),
+                      r_eps=float(low.threshold_time(_ONE_STATE, eps)[0]),
+                      attained_on_grid=not low.refined[0])
 
 
 def inf_J(model: PdmpModel, v, w, x: StatePoint, eps: float,
@@ -471,45 +572,7 @@ def inf_J(model: PdmpModel, v, w, x: StatePoint, eps: float,
     below inf + eps, located by bisection inside its bracketing cell.
     """
     check_eps(eps)
-    profile = FlowProfile(model, x, n_t=n_t)
-    curve = JCurve(profile, v, w)
-    return _inf_from_curve(curve, eps, time_tol_rel)
-
-
-def _inf_from_curve(curve: JCurve, eps: float, time_tol_rel: float) -> InfJResult:
-    vals = curve.values
-    tgrid = curve.tgrid
-    t_star = curve.profile.t_star
-    tol = max(time_tol_rel * max(t_star, 1e-30), 1e-300)
-    l_star = int(np.argmin(vals))
-    grid_min = float(vals[l_star])
-    lo = float(tgrid[max(l_star - 1, 0)])
-    hi = float(tgrid[min(l_star + 1, len(tgrid) - 1)])
-    t_ref, f_ref = _golden_min(curve.at, lo, hi, tol)
-    if f_ref < grid_min:
-        inf_value = f_ref
-        t_min = t_ref
-        attained_on_grid = False
-    else:
-        inf_value = grid_min
-        t_min = float(tgrid[l_star])
-        attained_on_grid = True
-
-    threshold = inf_value + eps
-    below = vals < threshold
-    if below.any():
-        idx = int(np.argmax(below))
-        if idx == 0:
-            r_eps = 0.0
-        else:
-            r_eps = _first_entry(curve, float(tgrid[idx - 1]), float(tgrid[idx]),
-                                 threshold, tol)
-    else:
-        # The band is only entered inside the refined cell around the minimum.
-        left_idx = int(np.searchsorted(tgrid, t_min, side="right")) - 1
-        r_eps = _first_entry(curve, float(tgrid[left_idx]), t_min, threshold, tol)
-    return InfJResult(inf_value=inf_value, r_eps=float(r_eps),
-                      attained_on_grid=attained_on_grid)
+    return _one_state_inf(JCurve(state_profile(model, x, n_t), v, w), eps, time_tol_rel)
 
 
 def op_Lscript(model: PdmpModel, w, x: StatePoint, eps: float,
@@ -521,16 +584,14 @@ def op_Lscript(model: PdmpModel, w, x: StatePoint, eps: float,
     by at most eps when the intervention branch wins.
     """
     check_eps(eps)
+    profile = state_profile(model, x, n_t)
     phi = [w.eval(y) for y in model.control_set]
-    reloc = MinRelocationValue(model, phi)
-    profile = FlowProfile(model, x, n_t=n_t)
-    curve = JCurve(profile, reloc, w)
-    detail = _inf_from_curve(curve, eps, 1e-6)
-    wait = profile.wait_value(w)
+    curve = JCurve(profile, MinRelocationValue(model, phi), w)
+    detail = _one_state_inf(curve, eps, 1e-6)
+    wait = float(curve.wait_value()[0])
     if wait < detail.inf_value:
-        return LscriptResult(value=float(wait), branch=BRANCH_WAIT,
-                             wait_value=float(wait), detail=detail)
-    value = curve.at(detail.r_eps)
-    return LscriptResult(value=float(value), branch=BRANCH_INTERVENE,
-                         wait_value=float(wait), detail=detail)
-
+        return LscriptResult(value=wait, branch=BRANCH_WAIT, wait_value=wait,
+                             detail=detail)
+    value = float(curve.at(_ONE_STATE, np.array([detail.r_eps]))[0])
+    return LscriptResult(value=value, branch=BRANCH_INTERVENE, wait_value=wait,
+                         detail=detail)

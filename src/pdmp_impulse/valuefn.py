@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .dynamics import IntensityPath
 from .errors import (
     ExtrapolationError,
     ModelParseError,
@@ -30,17 +29,17 @@ from .model import PdmpModel, StatePoint
 from .operators import (
     BRANCH_INTERVENE,
     BRANCH_WAIT,
-    GOLDEN_RATIO_STEP,
+    CurveMinimum,
     FlowProfile,
     FunctionEvaluable,
     JCurve,
     MinRelocationValue,
-    _inf_from_curve,
     check_eps,
+    chunk_rows,
     collect_atom_records,
-    eval_many,
+    op_Lscript,
 )
-from .quadrature import GL_ORDER, interval_nodes, panel_cumulative, panel_nodes
+from .quadrature import panel_cumulative
 
 BRANCH_NONE = "no-intervention"
 
@@ -182,118 +181,18 @@ class GridSpec:
         }
 
 
-# Element budget of the batched solver: no (nodes, points) array along the
-# flows holds more floats than this, which bounds its working set at any grid
-# size.  Results do not depend on it.
-CHUNK_ELEMENTS = 1 << 14
-
-
-class _FlowChunk:
-    """Flows from a run of same-mode grid nodes, on each node's uniform time
-    grid over [0, t*].
-
-    The arithmetic is :class:`FlowProfile`'s for one node, done for every node
-    at once.  The chunk holds (nodes, n_t) grids; :meth:`quadrature` gives the
-    (nodes, (n_t - 1) * GL_ORDER) arrays at the panel nodes for one block of
-    :meth:`blocks` at a time.  A constant intensity stays a scalar.
-    """
-
-    def __init__(self, model: PdmpModel, mode: int, zeta: np.ndarray, n_t: int):
-        self.model = model
-        self.mode = mode
-        self.zeta = zeta
-        self.size = zeta.shape[0]
-        self.alpha = model.discount
-        hit = model.flow.hit_fn[mode]
-        self.t_star = np.array([hit(z) for z in zeta.tolist()], dtype=float)
-        unbounded = ~np.isfinite(self.t_star)
-        if unbounded.any():
-            x = StatePoint(mode, tuple(zeta[int(np.argmax(unbounded))]))
-            raise NumericalError(
-                f"flow from {x} never reaches the boundary; bounded exit times "
-                "are required"
-            )
-        expr = model.intensity[mode]
-        self.lam_const = expr.constant_value() if expr.is_constant else None
-        self.ipaths = None if expr.is_constant else [
-            IntensityPath(model, mode, z, t) for z, t in zip(zeta, self.t_star)
-        ]
-        # np.linspace(0, t*, n_t) for every node at once.
-        self.step = self.t_star / (n_t - 1)
-        self.tgrid = np.arange(n_t) * self.step[:, None]
-        self.tgrid[:, -1] = self.t_star
-        self.block = max(1, CHUNK_ELEMENTS // ((n_t - 1) * GL_ORDER))
-
-    def blocks(self):
-        """Node indices of consecutive blocks for :meth:`quadrature`."""
-        for lo in range(0, self.size, self.block):
-            yield np.arange(lo, min(lo + self.block, self.size))
-
-    def quadrature(self, rows: np.ndarray):
-        """Panel weights, flow positions, intensity, damping and running cost
-        at the Gauss-Legendre panel nodes of nodes ``rows``."""
-        s, wq = panel_nodes(self.tgrid[rows])
-        pos = self.flow(s, rows)
-        lam, cum = self.intensity(rows, s)
-        damp = np.exp(-self.alpha * s - cum)
-        del s, cum
-        return wq, pos, lam, damp, self.running(pos)
-
-    def damping(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """exp(-alpha*t - Lambda(t)) along the flows of ``rows``."""
-        return np.exp(-self.alpha * t - self.intensity(rows, t)[1])
-
-    def left_index(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """searchsorted(tgrid, t, side="right") - 1 per node, for t >= 0.
-
-        The uniform step locates the grid cell to within one; comparing
-        against the grid itself settles it.
-        """
-        last = self.tgrid.shape[1] - 1
-        step = self.step[rows]
-        guess = np.divide(t, step, out=np.zeros_like(t), where=step > 0)
-        j = np.clip(np.floor(guess).astype(np.int64), 0, last)
-        j -= self.tgrid[rows, j] > t
-        j += (j < last) & (self.tgrid[rows, np.minimum(j + 1, last)] <= t)
-        return j
-
-    def flow(self, t: np.ndarray, rows=None) -> np.ndarray:
-        """Positions after times t: one time per node gives (n, d), one row
-        of times per node gives (n, k, d)."""
-        zeta = self.zeta if rows is None else self.zeta[rows]
-        if t.ndim == 2:
-            zeta = zeta[:, None, :]
-        return np.asarray(self.model.flow.position(self.mode, zeta, t))
-
-    def intensity(self, rows: np.ndarray, t: np.ndarray):
-        """Intensity and cumulative intensity along the flows of ``rows`` at
-        times t (one time or one row of times per node)."""
-        if self.ipaths is None:
-            return self.lam_const, self.lam_const * t
-        lam = np.empty_like(t)
-        cum = np.empty_like(t)
-        for k, i in enumerate(rows):
-            lam[k] = self.ipaths[i].lam(t[k])
-            cum[k] = self.ipaths[i].cumulative(t[k])
-        return lam, cum
-
-    def running(self, pos: np.ndarray) -> np.ndarray:
-        flat = pos.reshape(-1, pos.shape[-1])
-        return self.model.costs.running_along(self.mode, flat).reshape(pos.shape[:-1])
-
-
-def _node_chunks(model: PdmpModel, axes: dict[int, tuple[np.ndarray, ...]],
-                 n_t: int):
-    """Mode, global index of the first node and node positions of
-    consecutive same-mode chunks, in global node order."""
+def _node_profiles(model: PdmpModel, axes: dict[int, tuple[np.ndarray, ...]],
+                   n_t: int):
+    """Global index of the first node and flow profile of consecutive
+    same-mode chunks of grid nodes, in global node order."""
     if n_t < 2:
         raise ModelParseError("n_t must be at least 2")
-    size = max(1, CHUNK_ELEMENTS // n_t)
+    size = chunk_rows(n_t)
     offset = 0
     for m in model.mode_ids:
         nodes = _node_mesh(axes[m])
         for lo in range(0, nodes.shape[0], size):
-            yield m, offset + lo, nodes[lo:lo + size]
+            yield offset + lo, FlowProfile(model, m, nodes[lo:lo + size], n_t)
         offset += nodes.shape[0]
 
 
@@ -323,8 +222,7 @@ class GridOperator:
         self.size = offset
         self.offset_vec = np.empty(offset)
         data, indices, counts = [], [], []
-        for m, start, zeta in _node_chunks(model, axes, n_t):
-            geo = _FlowChunk(model, m, zeta, n_t)
+        for start, geo in _node_profiles(model, axes, n_t):
             for rows in geo.blocks():
                 running, *block = self._block_rows(geo, rows, *geo.quadrature(rows))
                 self.offset_vec[start + rows] = running
@@ -342,13 +240,13 @@ class GridOperator:
         flat, coef = _cell_weights(self.axes[mode], pos)
         return flat + self.mode_offsets[mode], coef
 
-    def _block_rows(self, geo: _FlowChunk, rows: np.ndarray, wq, pos, lam, damp, f):
+    def _block_rows(self, geo: FlowProfile, rows: np.ndarray, wq, pos, lam, damp, f):
         """F, then the CSR data, column indices and row lengths of B, on the
         rows of one block of nodes.
 
         Entries for one column add up in input order (interior atoms,
-        quadrature node by node, then the end atoms), the order of the scalar
-        per-node sums along a :class:`FlowProfile`.
+        quadrature node by node, then the end atoms), the order of a sum
+        along one node's flow.
         """
         model, mode = self.model, geo.mode
         n = rows.size
@@ -432,179 +330,21 @@ def compute_h(model: PdmpModel, store_spec: GridSpec | None = None,
     )
 
 
-class _CurveChunk:
-    """Intervention-value curves t -> J(v, w)(x, t) of every node of a chunk.
-
-    ``values`` holds each curve on its node's time grid, as
-    :class:`JCurve` does; :meth:`at` is :meth:`JCurve.at` for any subset of
-    nodes, one time per node.
-    """
-
-    def __init__(self, geo: _FlowChunk, v: MinRelocationValue, w: FunctionStore):
-        self.geo = geo
-        self.v = v
-        self.w = w
-        static = geo.model.kernel.static_atoms_for(geo.mode)
-        self.static_qw = None if static is None else float(sum(
-            prob * w.eval(StatePoint(a_mode, tuple(a_pos)))
-            for a_mode, a_pos, prob in static
-        ))
-        self.cum = np.empty(geo.tgrid.shape)
-        self.values = np.empty(geo.tgrid.shape)
-        for rows in geo.blocks():
-            self.cum[rows] = panel_cumulative(*self._integrand(*geo.quadrature(rows)))
-            tgrid = geo.tgrid[rows]
-            self.values[rows] = (self.cum[rows] + geo.damping(rows, tgrid)
-                                 * self.v_at(geo.flow(tgrid, rows)))
-        self.v_start = self.v_at(geo.zeta)
-
-    def _integrand(self, wq, pos, lam, damp, f):
-        """Running cost plus jump term along the flows, with its weights.
-
-        Taking one block's quadrature arrays as arguments frees them as soon
-        as the block is integrated."""
-        return damp * (f + lam * self.kernel_average(pos)), wq
-
-    def v_at(self, pos: np.ndarray) -> np.ndarray:
-        flat = pos.reshape(-1, pos.shape[-1])
-        return self.v.eval_many(self.geo.mode, flat).reshape(pos.shape[:-1])
-
-    def kernel_average(self, pos: np.ndarray):
-        """Kernel average of w at pre-jump positions (..., d); for a static
-        kernel the one scalar average."""
-        if self.static_qw is not None:
-            return self.static_qw
-        flat = pos.reshape(-1, pos.shape[-1])
-        out = np.zeros(flat.shape[0])
-        for rec in collect_atom_records(self.geo.model, self.geo.mode, flat):
-            out[rec.indices] += rec.prob * eval_many(self.w, rec.mode, rec.positions)
-        return out.reshape(pos.shape[:-1])
-
-    def at(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """J of nodes ``rows`` at times t, consistent with the grid values."""
-        geo = self.geo
-        out = np.empty(t.shape)
-        past = t >= geo.t_star[rows]
-        start = ~past & (t <= 0.0)
-        out[past] = self.values[rows[past], -1]
-        out[start] = self.v_start[rows[start]]
-        inner = ~(past | start)
-        if inner.any():
-            rows, t = rows[inner], t[inner]
-            left = geo.left_index(rows, t)
-            s, wq = interval_nodes(geo.tgrid[rows, left], t)
-            lam, cum = geo.intensity(rows, s)
-            damp = np.exp(-geo.alpha * s - cum)
-            pos = geo.flow(s, rows)
-            partial = (wq * damp * (geo.running(pos) + lam * self.kernel_average(pos))).sum(axis=1)
-            out[inner] = (self.cum[rows, left] + partial
-                          + geo.damping(rows, t) * self.v_at(geo.flow(t, rows)))
-        return out
-
-
-def _golden_min_many(fn, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray):
-    """:func:`_golden_min` in lockstep over curves; ``fn(i, t)`` evaluates
-    curves i at times t.  A curve drops out once its interval is within tol."""
-    a, b = lo.copy(), hi.copy()
-    h = b - a
-    best_t = np.empty(a.size)
-    best_f = np.empty(a.size)
-    short = np.nonzero(h <= tol)[0]
-    if short.size:
-        best_t[short] = 0.5 * (a[short] + b[short])
-        best_f[short] = fn(short, best_t[short])
-    act = np.nonzero(h > tol)[0]
-    c = a + GOLDEN_RATIO_STEP * h
-    d = b - GOLDEN_RATIO_STEP * h
-    fc = np.empty(a.size)
-    fd = np.empty(a.size)
-    both = fn(np.concatenate([act, act]), np.concatenate([c[act], d[act]]))
-    fc[act], fd[act] = both[: act.size], both[act.size:]
-    left = fc[act] <= fd[act]
-    best_t[act] = np.where(left, c[act], d[act])
-    best_f[act] = np.where(left, fc[act], fd[act])
-    while act.size:
-        left = fc[act] < fd[act]
-        lt, rt = act[left], act[~left]
-        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
-        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
-        h[act] = b[act] - a[act]
-        c[lt] = a[lt] + GOLDEN_RATIO_STEP * h[lt]
-        d[rt] = b[rt] - GOLDEN_RATIO_STEP * h[rt]
-        f_new = fn(act, np.where(left, c[act], d[act]))
-        fc[lt] = f_new[left]
-        fd[rt] = f_new[~left]
-        for probe, f_probe in ((c, fc), (d, fd)):
-            better = act[f_probe[act] < best_f[act]]
-            best_t[better] = probe[better]
-            best_f[better] = f_probe[better]
-        act = act[h[act] > tol[act]]
-    return best_t, best_f
-
-
-def _first_entry_many(fn, lo: np.ndarray, hi: np.ndarray, threshold: np.ndarray,
-                      tol: np.ndarray) -> np.ndarray:
-    """:func:`_first_entry` in lockstep over curves; ``fn(i, t)`` evaluates
-    curves i at times t."""
-    lo, hi = lo.copy(), hi.copy()
-    every = np.arange(lo.size)
-    at_lo = fn(every, lo) < threshold
-    hi[at_lo] = lo[at_lo]
-    act = every[~at_lo & (hi - lo > tol)]
-    while act.size:
-        mid = 0.5 * (lo[act] + hi[act])
-        below = fn(act, mid) < threshold[act]
-        hi[act[below]] = mid[below]
-        lo[act[~below]] = mid[~below]
-        act = act[hi[act] - lo[act] > tol[act]]
-    return hi
-
-
-def _jump_or_intervene(curve: _CurveChunk, wait_value: np.ndarray, eps: float,
+def _jump_or_intervene(curve: JCurve, wait_value: np.ndarray, eps: float,
                        time_tol_rel: float):
-    """Branch flag, planned time, value and restart index at every node of a
-    chunk: :func:`_inf_from_curve` across the chunk, then the strict
-    comparison with the waiting value that ``value_iterate`` documents."""
-    geo = curve.geo
-    vals, tgrid, t_star = curve.values, geo.tgrid, geo.t_star
-    nodes = np.arange(geo.size)
-    last = tgrid.shape[1] - 1
-    tol = np.maximum(time_tol_rel * np.maximum(t_star, 1e-30), 1e-300)
-    l_star = np.argmin(vals, axis=1)
-    grid_min = vals[nodes, l_star]
-    t_ref, f_ref = _golden_min_many(
-        curve.at, tgrid[nodes, np.maximum(l_star - 1, 0)],
-        tgrid[nodes, np.minimum(l_star + 1, last)], tol,
-    )
-    refined = f_ref < grid_min
-    inf_value = np.where(refined, f_ref, grid_min)
-    t_min = np.where(refined, t_ref, tgrid[nodes, l_star])
-
-    wait = wait_value < inf_value
+    """Branch flag, planned time, value and restart index at every state of
+    a curve batch: the strict comparison of the waiting value with the
+    curve's infimum that ``value_iterate`` documents.  The eps-threshold
+    time is searched only where intervening wins."""
+    low = CurveMinimum(curve, time_tol_rel)
+    wait = wait_value < low.value
     value = wait_value.copy()
-    r = t_star.copy()
+    r = curve.profile.t_star.copy()
     act = np.nonzero(~wait)[0]
     if act.size:
-        # The eps-threshold time: the first grid cell whose right end is below
-        # the band, or else the refined cell up to t_min.
-        threshold = inf_value[act] + eps
-        below = vals[act] < threshold[:, None]
-        idx = np.argmax(below, axis=1)
-        on_grid = below[np.arange(act.size), idx]
-        left_min = geo.left_index(act, t_min[act])
-        lo = np.where(on_grid, tgrid[act, np.maximum(idx - 1, 0)], tgrid[act, left_min])
-        hi = np.where(on_grid, tgrid[act, idx], t_min[act])
-        r_act = np.zeros(act.size)
-        bisect_at = np.nonzero(~on_grid | (idx > 0))[0]
-        if bisect_at.size:
-            sub = act[bisect_at]
-            r_act[bisect_at] = _first_entry_many(
-                lambda i, t: curve.at(sub[i], t), lo[bisect_at], hi[bisect_at],
-                threshold[bisect_at], tol[sub],
-            )
-        r[act] = r_act
-        value[act] = curve.at(act, r_act)
-    y_index = curve.v.argmin_many(geo.mode, geo.flow(r))
+        r[act] = low.threshold_time(act, eps)
+        value[act] = curve.at(act, r[act])
+    y_index = curve.v.argmin_many(curve.profile.mode, curve.profile.flow(r))
     return wait, r, value, y_index
 
 
@@ -828,11 +568,10 @@ def value_iterate(model: PdmpModel, h: FunctionStore, n_max: int, eps: float,
         wait_flags = np.empty(gop.size, dtype=bool)
         r_vec = np.empty(gop.size)
         y_vec = np.empty(gop.size, dtype=np.int64)
-        for m, start, zeta in _node_chunks(model, h.axes, n_t):
-            rows = slice(start, start + zeta.shape[0])
+        for start, profile in _node_profiles(model, h.axes, n_t):
+            rows = slice(start, start + profile.size)
             wait_flags[rows], r_vec[rows], new_vec[rows], y_vec[rows] = _jump_or_intervene(
-                _CurveChunk(_FlowChunk(model, m, zeta, n_t), reloc, prev_store),
-                wait_vec[rows], eps, time_tol_rel,
+                JCurve(profile, reloc, prev_store), wait_vec[rows], eps, time_tol_rel,
             )
         table.stages.append(
             PolicyStage(
@@ -871,9 +610,10 @@ def eval_Vk_exact(model: PdmpModel, h: FunctionStore, k: int, x: StatePoint,
                   budget: int = 50_000) -> float:
     """Budget-k value by direct recursion, bypassing the value grid.
 
-    The previous-stage value is evaluated recursively wherever the kernel
-    atoms and control points demand it (memoized on rounded positions); cost
-    grows geometrically with k, guarded by an evaluation budget.
+    Each level is one :func:`op_Lscript` step whose cost-to-go, the level
+    below, is evaluated recursively wherever the kernel atoms and control
+    points demand it (memoized on rounded positions); cost grows
+    geometrically with k, guarded by an evaluation budget.
     """
     if k > k_exact_max:
         raise ResourceBudgetError(
@@ -896,13 +636,7 @@ def eval_Vk_exact(model: PdmpModel, h: FunctionStore, k: int, x: StatePoint,
                 f"exact recursion exceeded its evaluation budget ({budget})"
             )
         w = FunctionEvaluable(lambda p: recurse(level - 1, p), bound=np.inf)
-        phi = [recurse(level - 1, y) for y in model.control_set]
-        reloc = MinRelocationValue(model, phi)
-        profile = FlowProfile(model, point, n_t=n_t)
-        curve = JCurve(profile, reloc, w)
-        detail = _inf_from_curve(curve, eps, 1e-6)
-        wait = profile.wait_value(w)
-        value = wait if wait < detail.inf_value else curve.at(detail.r_eps)
+        value = op_Lscript(model, w, point, eps, n_t).value
         memo[key] = value
         return value
 

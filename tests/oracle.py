@@ -1,0 +1,300 @@
+"""Scalar reference for the jump-or-intervene curve: one state at a time.
+
+The package runs the curve batched over states (``pdmp_impulse.operators``).
+This module keeps the earlier per-state implementation, unchanged, as an
+independent oracle: :class:`FlowProfile`, :class:`JCurve`, the scalar
+golden-section and bisection searches and ``_inf_from_curve``.  ``lscript``
+and ``exact_value`` are the single jump-or-intervention step and the exact
+budget-k recursion built on them.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable
+
+import numpy as np
+
+from pdmp_impulse.dynamics import IntensityPath, hit_time
+from pdmp_impulse.errors import NumericalError
+from pdmp_impulse.model import PdmpModel, StatePoint
+from pdmp_impulse.operators import (
+    BRANCH_INTERVENE,
+    BRANCH_WAIT,
+    GOLDEN_RATIO_STEP,
+    AtomRecord,
+    FunctionEvaluable,
+    InfJResult,
+    LscriptResult,
+    MinRelocationValue,
+    collect_atom_records,
+    eval_many,
+)
+from pdmp_impulse.quadrature import interval_nodes, panel_cumulative, panel_nodes
+
+
+class FlowProfile:
+    """Geometry along the flow from one state, on a uniform time grid.
+
+    Holds Gauss-Legendre nodes per grid panel together with the damping
+    factor exp(-alpha*s - Lambda(s)), the intensity, the running cost, and the
+    kernel atoms at every node, so value curves for different cost-to-go
+    functions reuse the same precomputation.
+    """
+
+    def __init__(self, model: PdmpModel, x: StatePoint, n_t: int = 512):
+        self.model = model
+        self.x = x
+        self.alpha = model.discount
+        self.t_star = hit_time(model, x)
+        if not np.isfinite(self.t_star):
+            raise NumericalError(
+                f"flow from {x} never reaches the boundary; bounded exit times "
+                "are required"
+            )
+        self.n_t = n_t
+        zeta = np.asarray(x.zeta, dtype=float)
+        self.ipath = IntensityPath(model, x.mode, zeta, self.t_star)
+        self.tgrid = np.linspace(0.0, self.t_star, n_t)
+        s, wq = panel_nodes(self.tgrid)
+        self.s = s
+        self.wq = wq
+        pos = np.asarray(model.flow.position(x.mode, zeta, s))
+        self.pos = pos if pos.ndim == 2 else pos[None, :]
+        lam_s = np.asarray(self.ipath.lam(s), dtype=float)
+        cum_s = np.asarray(self.ipath.cumulative(s), dtype=float)
+        self.lam_s = lam_s
+        self.damp_s = np.exp(-self.alpha * s - cum_s)
+        self.f_s = model.costs.running_along(x.mode, self.pos)
+        cum_grid = np.asarray(self.ipath.cumulative(self.tgrid), dtype=float)
+        self.damp_grid = np.exp(-self.alpha * self.tgrid - cum_grid)
+        self.pos_grid = np.asarray(model.flow.position(x.mode, zeta, self.tgrid))
+        self.running_grid = panel_cumulative(self.damp_s * self.f_s, wq)
+        end = np.asarray(model.flow.position(x.mode, zeta, self.t_star))
+        self.end_point = StatePoint(x.mode, tuple(float(v) for v in end))
+        self.end_atoms = model.kernel.atoms_at(x.mode, end)
+        self.static_atoms = model.kernel.static_atoms_for(x.mode)
+        if self.static_atoms is None:
+            self.atom_records = collect_atom_records(model, x.mode, self.pos)
+        else:
+            self.atom_records = [
+                AtomRecord(
+                    np.arange(self.s.size),
+                    a_mode,
+                    np.broadcast_to(np.asarray(a_pos), (self.s.size, len(a_pos))),
+                    prob,
+                    j,
+                )
+                for j, (a_mode, a_pos, prob) in enumerate(self.static_atoms)
+            ]
+
+    # -- building blocks -------------------------------------------------
+
+    def _static_qw(self, w) -> float:
+        return float(
+            sum(
+                prob * w.eval(StatePoint(a_mode, tuple(a_pos)))
+                for a_mode, a_pos, prob in self.static_atoms
+            )
+        )
+
+    def qw_at_nodes(self, w) -> np.ndarray:
+        """Kernel average of w at every quadrature node along the flow."""
+        if self.static_atoms is not None:
+            return np.full(self.s.size, self._static_qw(w))
+        out = np.zeros(self.s.size)
+        for rec in self.atom_records:
+            out[rec.indices] += rec.prob * eval_many(w, rec.mode, rec.positions)
+        return out
+
+    def qw_at_end(self, w) -> float:
+        return float(sum(prob * w.eval(point) for point, prob in self.end_atoms))
+
+    def qw_at_points(self, w, s_points: np.ndarray) -> np.ndarray:
+        if self.static_atoms is not None:
+            return np.full(len(s_points), self._static_qw(w))
+        pos = np.asarray(
+            self.model.flow.position(self.x.mode, np.asarray(self.x.zeta), s_points)
+        )
+        if pos.ndim == 1:
+            pos = pos[None, :]
+        out = np.zeros(len(s_points))
+        for rec in collect_atom_records(self.model, self.x.mode, pos):
+            out[rec.indices] += rec.prob * eval_many(w, rec.mode, rec.positions)
+        return out
+
+    def damp_at(self, t: float) -> float:
+        return math.exp(-self.alpha * t - float(self.ipath.cumulative(t)))
+
+    def wait_value(self, w) -> float:
+        """Expected discounted cost carrying w past the next natural jump."""
+        qw = self.qw_at_nodes(w)
+        inner = panel_cumulative(self.damp_s * (self.f_s + self.lam_s * qw), self.wq)[-1]
+        return float(inner + self.damp_grid[-1] * self.qw_at_end(w))
+
+
+class JCurve:
+    """The intervention-value curve t -> J(v, w)(x, t) on a flow profile."""
+
+    def __init__(self, profile: FlowProfile, v, w):
+        self.profile = profile
+        self.v = v
+        self.w = w
+        self._static_qw = (
+            profile._static_qw(w) if profile.static_atoms is not None else None
+        )
+        qw = profile.qw_at_nodes(w)
+        self._g_s = profile.damp_s * (profile.f_s + profile.lam_s * qw)
+        self._cum = panel_cumulative(self._g_s, profile.wq)
+        pos_grid = profile.pos_grid
+        v_grid = eval_many(v, profile.x.mode, pos_grid)
+        # The terminal grid point sits on the boundary; evaluate v there exactly.
+        v_grid = np.asarray(v_grid, dtype=float)
+        v_grid[-1] = v.eval(profile.end_point)
+        self.values = self._cum + profile.damp_grid * v_grid
+
+    @property
+    def tgrid(self) -> np.ndarray:
+        return self.profile.tgrid
+
+    def at(self, t: float) -> float:
+        """J at an arbitrary time, consistent with the grid values."""
+        p = self.profile
+        if t >= p.t_star:
+            return float(self.values[-1])
+        if t <= 0.0:
+            flow_point = StatePoint(p.x.mode, p.x.zeta)
+            return float(self.v.eval(flow_point))
+        left = int(np.searchsorted(p.tgrid, t, side="right")) - 1
+        base = self._cum[left]
+        s_mini, w_mini = interval_nodes(float(p.tgrid[left]), t)
+        pos = np.asarray(p.model.flow.position(p.x.mode, np.asarray(p.x.zeta), s_mini))
+        lam = np.asarray(p.ipath.lam(s_mini), dtype=float)
+        cum = np.asarray(p.ipath.cumulative(s_mini), dtype=float)
+        damp = np.exp(-p.alpha * s_mini - cum)
+        f_vals = p.model.costs.running_along(p.x.mode, pos)
+        if self._static_qw is not None:
+            qw = self._static_qw
+        else:
+            qw = p.qw_at_points(self.w, s_mini)
+        partial = float(np.sum(w_mini * damp * (f_vals + lam * qw)))
+        end_pos = np.asarray(p.model.flow.position(p.x.mode, np.asarray(p.x.zeta), t))
+        v_val = self.v.eval(StatePoint(p.x.mode, tuple(float(z) for z in end_pos)))
+        return float(base + partial + p.damp_at(t) * v_val)
+
+
+def _golden_min(fn: Callable[[float], float], lo: float, hi: float,
+                tol: float) -> tuple[float, float]:
+    """Golden-section minimum of fn on [lo, hi] down to interval width tol."""
+    a, b = lo, hi
+    h = b - a
+    if h <= tol:
+        mid = 0.5 * (a + b)
+        return mid, fn(mid)
+    c = a + GOLDEN_RATIO_STEP * h
+    d = b - GOLDEN_RATIO_STEP * h
+    fc, fd = fn(c), fn(d)
+    best_t, best_f = (c, fc) if fc <= fd else (d, fd)
+    while h > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            h = b - a
+            c = a + GOLDEN_RATIO_STEP * h
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            h = b - a
+            d = b - GOLDEN_RATIO_STEP * h
+            fd = fn(d)
+        if fc < best_f:
+            best_t, best_f = c, fc
+        if fd < best_f:
+            best_t, best_f = d, fd
+    return best_t, best_f
+
+
+def _first_entry(curve: JCurve, lo: float, hi: float, threshold: float,
+                 tol: float) -> float:
+    """Bisect for the earliest time in (lo, hi] where the curve dips below
+    threshold, assuming curve.at(hi) < threshold."""
+    f_lo = curve.at(lo)
+    if f_lo < threshold:
+        return lo
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if curve.at(mid) < threshold:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _inf_from_curve(curve: JCurve, eps: float, time_tol_rel: float) -> InfJResult:
+    vals = curve.values
+    tgrid = curve.tgrid
+    t_star = curve.profile.t_star
+    tol = max(time_tol_rel * max(t_star, 1e-30), 1e-300)
+    l_star = int(np.argmin(vals))
+    grid_min = float(vals[l_star])
+    lo = float(tgrid[max(l_star - 1, 0)])
+    hi = float(tgrid[min(l_star + 1, len(tgrid) - 1)])
+    t_ref, f_ref = _golden_min(curve.at, lo, hi, tol)
+    if f_ref < grid_min:
+        inf_value = f_ref
+        t_min = t_ref
+        attained_on_grid = False
+    else:
+        inf_value = grid_min
+        t_min = float(tgrid[l_star])
+        attained_on_grid = True
+
+    threshold = inf_value + eps
+    below = vals < threshold
+    if below.any():
+        idx = int(np.argmax(below))
+        if idx == 0:
+            r_eps = 0.0
+        else:
+            r_eps = _first_entry(curve, float(tgrid[idx - 1]), float(tgrid[idx]),
+                                 threshold, tol)
+    else:
+        # The band is only entered inside the refined cell around the minimum.
+        left_idx = int(np.searchsorted(tgrid, t_min, side="right")) - 1
+        r_eps = _first_entry(curve, float(tgrid[left_idx]), t_min, threshold, tol)
+    return InfJResult(inf_value=inf_value, r_eps=float(r_eps),
+                      attained_on_grid=attained_on_grid)
+
+
+def lscript(model: PdmpModel, w, x: StatePoint, eps: float,
+            n_t: int = 512) -> LscriptResult:
+    """Single jump-or-intervention step on the scalar curve."""
+    phi = [w.eval(y) for y in model.control_set]
+    reloc = MinRelocationValue(model, phi)
+    profile = FlowProfile(model, x, n_t=n_t)
+    curve = JCurve(profile, reloc, w)
+    detail = _inf_from_curve(curve, eps, 1e-6)
+    wait = profile.wait_value(w)
+    if wait < detail.inf_value:
+        return LscriptResult(value=float(wait), branch=BRANCH_WAIT,
+                             wait_value=float(wait), detail=detail)
+    value = curve.at(detail.r_eps)
+    return LscriptResult(value=float(value), branch=BRANCH_INTERVENE,
+                         wait_value=float(wait), detail=detail)
+
+
+def exact_value(model: PdmpModel, h, k: int, x: StatePoint, eps: float,
+                n_t: int = 65) -> float:
+    """Budget-k value by direct recursion on the scalar curve, memoized on
+    rounded positions."""
+    memo: dict = {}
+
+    def recurse(level: int, point: StatePoint) -> float:
+        if level == 0:
+            return h.eval(point)
+        key = (level, point.mode, tuple(round(z / 1e-9) for z in point.zeta))
+        if key not in memo:
+            w = FunctionEvaluable(lambda p: recurse(level - 1, p), bound=np.inf)
+            memo[key] = lscript(model, w, point, eps, n_t).value
+        return memo[key]
+
+    return float(recurse(k, x))

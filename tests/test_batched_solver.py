@@ -12,30 +12,26 @@ import math
 import numpy as np
 import pytest
 
-from pdmp_impulse import valuefn
+from pdmp_impulse import operators, valuefn
 from pdmp_impulse.dynamics import hit_time
 from pdmp_impulse.model import StatePoint
-from pdmp_impulse.operators import (
-    FlowProfile,
-    JCurve,
-    MinRelocationValue,
-    _first_entry,
-    _golden_min,
-    _inf_from_curve,
-)
+from pdmp_impulse.operators import FlowProfile as _FlowChunk
+from pdmp_impulse.operators import MinRelocationValue, inf_J, op_Lscript
+from pdmp_impulse.operators import _first_entry as _first_entry_many
+from pdmp_impulse.operators import _golden_min as _golden_min_many
 from pdmp_impulse.valuefn import (
     GridOperator,
     GridSpec,
     _cell_weights,
-    _first_entry_many,
-    _FlowChunk,
-    _golden_min_many,
     _node_mesh,
     compute_h,
+    eval_Vk_exact,
     value_iterate,
 )
 
 from conftest import FEATURE_MODELS, feature_model
+from oracle import (FlowProfile, JCurve, _first_entry, _golden_min, _inf_from_curve,
+                    exact_value, lscript)
 
 N_T = 64
 EPS = 0.01
@@ -138,7 +134,7 @@ def test_node_results_do_not_depend_on_chunk_size(monkeypatch):
     model, density = feature_model("affine_intensity_region_split_kernel")
     h = compute_h(model, GridSpec(density=density), tol=H_TOL, n_t=N_T)
     table = value_iterate(model, h, n_max=2, eps=EPS, n_t=N_T)
-    monkeypatch.setattr(valuefn, "CHUNK_ELEMENTS", 1)
+    monkeypatch.setattr(operators, "CHUNK_ELEMENTS", 1)
     h_one = compute_h(model, GridSpec(density=density), tol=H_TOL, n_t=N_T)
     one = value_iterate(model, h_one, n_max=2, eps=EPS, n_t=N_T)
     for m in model.mode_ids:
@@ -187,3 +183,65 @@ def test_left_index_is_searchsorted():
                             grid * (1 - 1e-12)])
         want = np.searchsorted(grid, t, side="right") - 1
         assert np.array_equal(geo.left_index(np.full(t.size, i), t), want)
+
+
+def _close(got, want):
+    """Equal to within 1e-12 relative (exactly, where want is 0)."""
+    return abs(got - want) <= 1e-12 * abs(want)
+
+
+def _interior_points(model, mode, count=10):
+    """``count`` fixed points strictly inside the region of ``mode``."""
+    region = model.region(mode)
+    lo, hi = np.asarray(region.lower), np.asarray(region.upper)
+    frac = (np.arange(count)[:, None] * (0.6180339887 + np.arange(lo.size)) + 0.13) % 1.0
+    return [StatePoint(mode, tuple(p)) for p in lo + (0.02 + 0.96 * frac) * (hi - lo)]
+
+
+@pytest.mark.parametrize("name", FEATURE_MODELS)
+def test_one_state_entries_match_the_scalar_oracle(name):
+    model, density = feature_model(name)
+    h = compute_h(model, GridSpec(density=density), tol=H_TOL, n_t=N_T)
+    reloc = MinRelocationValue(model, [h.eval(y) for y in model.control_set])
+    for m in model.mode_ids:
+        for x in _interior_points(model, m):
+            got = inf_J(model, reloc, h, x, EPS)
+            want = _inf_from_curve(JCurve(FlowProfile(model, x, n_t=512), reloc, h),
+                                   EPS, TIME_TOL_REL)
+            assert got.attained_on_grid == want.attained_on_grid
+            assert _close(got.inf_value, want.inf_value)
+            assert _close(got.r_eps, want.r_eps)
+            got = op_Lscript(model, h, x, EPS)
+            want = lscript(model, h, x, EPS)
+            assert got.branch == want.branch
+            assert got.detail.attained_on_grid == want.detail.attained_on_grid
+            for field in ("value", "wait_value"):
+                assert _close(getattr(got, field), getattr(want, field))
+            for field in ("inf_value", "r_eps"):
+                assert _close(getattr(got.detail, field), getattr(want.detail, field))
+
+
+def test_exact_recursion_matches_the_scalar_oracle(rm1, rm1_h):
+    for k in (1, 2):
+        for x in (StatePoint(1, (2.0,)), StatePoint(2, (4.0,))):
+            assert _close(eval_Vk_exact(rm1, rm1_h, k, x, EPS, n_t=257),
+                          exact_value(rm1, rm1_h, k, x, EPS, n_t=257))
+
+
+def test_value_iterate_looks_up_the_curve_names_at_call_time(monkeypatch):
+    # The bench traces the solver by replacing these names with wrappers.
+    model, density = feature_model("rm1")
+    h = compute_h(model, GridSpec(density=density), tol=H_TOL, n_t=N_T)
+    calls = dict.fromkeys(("FlowProfile", "JCurve", "at"), 0)
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(valuefn.JCurve, "at", counted(valuefn.JCurve.at, "at"))
+    for key in ("FlowProfile", "JCurve"):
+        monkeypatch.setattr(valuefn, key, counted(getattr(valuefn, key), key))
+    value_iterate(model, h, n_max=1, eps=EPS, n_t=N_T)
+    assert all(count > 0 for count in calls.values()), calls

@@ -6,8 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdmp_impulse import valuefn
+from pdmp_impulse import operators
 from pdmp_impulse.cli import main
+from pdmp_impulse.errors import DomainError
+from pdmp_impulse.model import as_state
+from pdmp_impulse.operators import ConstantEvaluable, inf_J, op_Lscript
+from pdmp_impulse.valuefn import eval_Vk_exact
 
 from conftest import MODEL_PATH, rm1_doc
 
@@ -100,6 +104,27 @@ def test_unreadable_artifact_exit_code(cli_workspace, tmp_path, capsys, command,
     assert "artifact" in capsys.readouterr().err
 
 
+# Entries that build a jump-or-intervene curve from one start state.
+_ONE_STATE_ENTRIES = {
+    "inf_J": lambda model, h, x: inf_J(model, ConstantEvaluable(1.0), h, x, 0.01),
+    "op_Lscript": lambda model, h, x: op_Lscript(model, h, x, 0.01),
+    "eval_Vk_exact": lambda model, h, x: eval_Vk_exact(model, h, 1, x, 0.01),
+}
+
+
+@pytest.mark.parametrize("entry", [*_ONE_STATE_ENTRIES, "report --x0"])
+@pytest.mark.parametrize("zeta", [11.0, 10.0], ids=["outside", "boundary"])
+def test_non_interior_start_is_rejected(cli_workspace, tmp_path, rm1, rm1_h, entry, zeta):
+    # Mode 1 of rm1 is [0, 10]: 11.0 lies outside it, 10.0 on its boundary.
+    if entry == "report --x0":
+        args = _command_args("report", cli_workspace / "policy.pdmpval", tmp_path)
+        args[-1] = f"1:{zeta}"
+        assert run_cli(*args) == 2
+    else:
+        with pytest.raises(DomainError, match="interior"):
+            _ONE_STATE_ENTRIES[entry](rm1, rm1_h, as_state(1, zeta))
+
+
 @pytest.mark.parametrize("command", ["simulate", "report"])
 def test_malformed_model_with_artifact_exit_code(cli_workspace, tmp_path, command):
     model = tmp_path / "model.json"
@@ -113,7 +138,7 @@ def test_compute_value_deterministic(tmp_path, monkeypatch):
     # Run "c" solves one grid node per chunk; outputs must not change.
     for sub in ("a", "b", "c"):
         if sub == "c":
-            monkeypatch.setattr(valuefn, "CHUNK_ELEMENTS", 1)
+            monkeypatch.setattr(operators, "CHUNK_ELEMENTS", 1)
         code = run_cli(
             "compute-value", "--model", MODEL_PATH, "--out", tmp_path / sub,
             "--eps", "0.02", "--nmax", "1", "--grid", "40", "--seed", "5",

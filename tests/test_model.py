@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pdmp_impulse.errors import (
+    DomainError,
     KernelCoverageError,
     ModelParseError,
     ModelValidationError,
@@ -192,3 +193,8 @@ def test_as_state_normalizes():
     x = as_state(1, 2)
     assert x.zeta == (2.0,)
     assert x.dim == 1
+
+
+def test_validate_rejects_a_negative_seed(rm1):
+    with pytest.raises(DomainError, match="seed"):
+        validate_model(rm1, grid_density=10, rng_seed=-1)

@@ -10,9 +10,7 @@ from pdmp_impulse.operators import (
     BRANCH_INTERVENE,
     BRANCH_WAIT,
     ConstantEvaluable,
-    FlowProfile,
     FunctionEvaluable,
-    JCurve,
     MinRelocationValue,
     inf_J,
     op_F,
@@ -24,6 +22,7 @@ from pdmp_impulse.operators import (
 )
 
 from conftest import rm1_doc
+from oracle import FlowProfile, JCurve
 
 
 def constant_rate_F(f, alpha, lam, t, t_star):

@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .artifact import load_policy, save_policy
-from .controlled import check_joint_law, estimate_cost_J, simulate_controlled
+from .controlled import estimate_cost_J, simulate_controlled
+from .dynamics import _check_start
 from .errors import (
     ArtifactMismatchError,
     ModelParseError,
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .model import StatePoint, load_model, validate_model
 from .operators import BRANCH_INTERVENE, BRANCH_WAIT, JCurve, MinRelocationValue, state_profile
-from .valuefn import GridSpec, compute_h, value_iterate
+from .valuefn import GridSpec, check_eps, compute_h, value_iterate
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -104,9 +105,21 @@ def _grid_spec_from_args(args, starts: list[StatePoint]) -> GridSpec:
     return GridSpec(density=args.grid, extra_points=extra or None)
 
 
+def _parse_starts(model, args) -> list[StatePoint]:
+    """The --x0 start points, each checked against the model: a declared
+    mode, the model's dimension and a point interior to its region."""
+    starts = [_parse_x0(t) for t in args.x0 or []]
+    for x in starts:
+        _check_start(model, x.mode, x.zeta)
+    return starts
+
+
 def cmd_compute_value(args) -> int:
     model = _load_model_file(args.model)
-    starts = [_parse_x0(t) for t in args.x0 or []]
+    starts = _parse_starts(model, args)
+    check_eps(args.eps)
+    if args.nmax < 1:
+        raise ModelParseError(f"--nmax must be at least 1, got {args.nmax}")
     spec = _grid_spec_from_args(args, starts)
     h = compute_h(model, spec, tol=args.h_tol)
     table = value_iterate(model, h, n_max=args.nmax, eps=args.eps)
@@ -156,7 +169,7 @@ def cmd_simulate(args) -> int:
         print(f"artifact not found: {artifact_path}", file=sys.stderr)
         return EXIT_IO
     table = load_policy(artifact_path, model)
-    starts = [_parse_x0(t) for t in args.x0 or []]
+    starts = _parse_starts(model, args)
     if not starts:
         raise ModelParseError("simulate requires at least one --x0")
     budgets = _parse_n0(args.n0)
@@ -207,6 +220,7 @@ def cmd_report(args) -> int:
         print(f"artifact not found: {artifact_path}", file=sys.stderr)
         return EXIT_IO
     table = load_policy(artifact_path, model)
+    starts = _parse_starts(model, args)
 
     v_rows = []
     r_rows = []
@@ -229,7 +243,6 @@ def cmd_report(args) -> int:
     _write_csv(out_dir / "r_eps_map.csv",
                ["k", "mode"] + coord_cols + ["branch", "r", "y_index"], r_rows)
 
-    starts = [_parse_x0(t) for t in args.x0 or []]
     for x0 in starts:
         for k in range(1, table.n_max + 1):
             prev = table.value_store(k - 1)
@@ -316,9 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed < 0:
-        print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
-        return EXIT_VALIDATION
+    for flag, value in (("--seed", args.seed),
+                        ("--dump-trajectories", getattr(args, "dump_trajectories", 0))):
+        if value < 0:
+            print(f"error: {flag} must be non-negative, got {value}", file=sys.stderr)
+            return EXIT_VALIDATION
     try:
         return args.func(args)
     except FileNotFoundError as exc:

@@ -10,12 +10,12 @@ Natural jumps draw from the kernel and also decrement the budget while it is
 positive.  Classification never compares sampled reals for equality: the
 sojourn sampler returns the truncation flag.
 
-Single paths and law checks run the step core and path loop of
-:mod:`.dynamics`, the same code that simulates the uncontrolled process at
-budget 0, with the policy lookup of :meth:`PolicyTable.lookup` that
-:func:`policy_query` uses.  Cost estimates run the same paths in lockstep
-batches (:func:`.dynamics.lockstep_costs`, with
-:meth:`PolicyTable.lookup_many`).
+A single path on a caller's Generator (:func:`simulate_controlled`,
+:func:`aug_step`) runs the scalar step core and path loop of :mod:`.dynamics`.
+Every seeded batch runs in lockstep (:func:`.dynamics.lockstep_costs`): cost
+estimates, and the law checks, at horizon 0, on the first jump and the
+intervention times that the engine records per replicate.  Both ask
+:meth:`PolicyTable.lookup_many` for the policy.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .dynamics import (
 )
 from .errors import DomainError, PolicyCoverageError
 from .model import PdmpModel, StatePoint
-from .operators import collect_atom_records
 from .quadrature import panel_cumulative, panel_nodes
 from .valuefn import PolicyTable, policy_query
 
@@ -342,7 +341,7 @@ def check_joint_law(x0: StatePoint, n0: int, table: PolicyTable, model: PdmpMode
     if replicates < 100:
         raise DomainError("need at least 100 replicates")
     _check_start(model, x0.mode, x0.zeta)
-    rt = _runtime(model)
+    _check_budget(table, n0)
     ts = model.flow.hit_time(x0.mode, x0.zeta)
     res = policy_query(table, x0, n0, model=model) if n0 > 0 else None
     r = res.r if res is not None else math.inf
@@ -367,7 +366,7 @@ def check_joint_law(x0: StatePoint, n0: int, table: PolicyTable, model: PdmpMode
             pos = pos[None, :]
         lam_s = np.asarray(ipath.lam(s), dtype=float)
         haz = lam_s * np.exp(-np.asarray(ipath.cumulative(s), dtype=float))
-        for rec in collect_atom_records(model, x0.mode, pos):
+        for rec in model.kernel.atom_records(x0.mode, pos):
             weights = np.zeros(s.size)
             weights[rec.indices] = rec.prob
             mass = panel_cumulative(haz * weights, wq)[-1]
@@ -375,29 +374,16 @@ def check_joint_law(x0: StatePoint, n0: int, table: PolicyTable, model: PdmpMode
                 atom_probs_interior.get(rec.atom, 0.0) + float(mass) / p_interior
             )
         n_atoms = len(atom_probs_interior)
-    boundary_atoms = model.kernel.atoms_at(
-        x0.mode, np.asarray(model.flow.position(x0.mode, np.asarray(x0.zeta), ts))
-    )
+    end = np.asarray(model.flow.position(x0.mode, np.asarray(x0.zeta), ts))
+    boundary_probs = [rec.prob for rec in model.kernel.atom_records(x0.mode, end[None, :])]
 
-    interior_count = 0
-    boundary_count = 0
-    interv_count = 0
-    interior_atom_counts = dict.fromkeys(range(n_atoms), 0)
-    boundary_atom_counts = dict.fromkeys(range(len(boundary_atoms)), 0)
-    for rep in range(replicates):
-        rng = np.random.default_rng([seed, rep])
-        step = _raw_step(rt, table, x0.mode, x0.zeta, n0, rng)
-        kind, cap_hit, atom_idx = step[1], step[2], step[7]
-        if kind == INTERVENTION:
-            interv_count += 1
-        elif cap_hit:
-            boundary_count += 1
-            if atom_idx in boundary_atom_counts:
-                boundary_atom_counts[atom_idx] += 1
-        else:
-            interior_count += 1
-            if atom_idx in interior_atom_counts:
-                interior_atom_counts[atom_idx] += 1
+    first = lockstep_costs(model, table, x0, n0, 0.0, seed, replicates).first
+    interv_count = int(first["intervened"].sum())
+    boundary = first["cap_hit"] & ~first["intervened"]
+    boundary_count = int(boundary.sum())
+    interior_count = replicates - interv_count - boundary_count
+    interior_atom_counts = np.bincount(first["index"][~first["cap_hit"]], minlength=n_atoms)
+    boundary_atom_counts = np.bincount(first["index"][boundary], minlength=len(boundary_probs))
 
     rows = [
         LawStat("interior_jump", p_interior, interior_count / replicates,
@@ -409,15 +395,15 @@ def check_joint_law(x0: StatePoint, n0: int, table: PolicyTable, model: PdmpMode
                 interv_count, _std_dev(interv_count, replicates, p_intervention)),
     ]
     for j, p in atom_probs_interior.items():
-        c = interior_atom_counts.get(j, 0)
+        c = int(interior_atom_counts[j])
         if interior_count > 0:
             rows.append(
                 LawStat(f"interior_atom_{j}", p, c / interior_count, c,
                         _std_dev(c, interior_count, p))
             )
     if boundary_count > 0:
-        for j, (_point, prob) in enumerate(boundary_atoms):
-            c = boundary_atom_counts.get(j, 0)
+        for j, prob in enumerate(boundary_probs):
+            c = int(boundary_atom_counts[j])
             rows.append(
                 LawStat(f"boundary_atom_{j}", prob, c / boundary_count, c,
                         _std_dev(c, boundary_count, prob))
@@ -458,6 +444,14 @@ def _ks_against_fresh(observed: list[float], fresh: list[float]) -> tuple[float,
     return stat, crit
 
 
+def _tau(costs, i: int) -> np.ndarray:
+    """Time of each replicate's i-th intervention (1-based), +inf when it
+    never happens."""
+    if i > costs.tau.shape[1]:
+        return np.full(costs.tau.shape[0], math.inf)
+    return costs.tau[:, i - 1]
+
+
 def check_intervention_markov(x0: StatePoint, n0: int, table: PolicyTable,
                               model: PdmpModel, replicates: int, seed: int,
                               i: int = 1) -> MarkovCheckReport:
@@ -472,36 +466,31 @@ def check_intervention_markov(x0: StatePoint, n0: int, table: PolicyTable,
     """
     if n0 < 1:
         raise DomainError("the restart check needs an initial budget of at least 1")
-    horizon = default_horizon(model)
+    if i < 1:
+        raise DomainError("intervention index is 1-based")
+    _check_budget(table, n0)
+    # At horizon 0 a path stops once its budget is spent: every intervention
+    # has happened by then.
+    costs = lockstep_costs(model, table, x0, n0, 0.0, seed, replicates)
+    first = costs.first
+    shifted = _tau(costs, i) - first["sojourn"]
     natural_groups: dict[tuple, list[float]] = {}
     interv_groups: dict[tuple, list[float]] = {}
-    for rep in range(replicates):
-        rng = np.random.default_rng([seed, rep])
-        traj = simulate_controlled(x0, n0, table, model, rng,
-                                   horizon=horizon, collect_events=True)
-        first = traj.events[0]
-        post_key = (first.post.mode,
-                    tuple(round(z, 9) for z in first.post.zeta),
-                    first.post.budget)
-        if first.kind == NATURAL:
-            shifted = traj.tau(i) - first.time
-            natural_groups.setdefault(post_key, []).append(shifted)
-        else:
-            shifted = traj.tau(i) - first.time if i >= 1 else math.inf
-            interv_groups.setdefault(post_key, []).append(shifted)
+    for mode, zeta, budget, intervened, value in zip(
+            first["post_mode"].tolist(), first["post_pos"].tolist(),
+            first["post_budget"].tolist(), first["intervened"].tolist(), shifted.tolist()):
+        post_key = (mode, tuple(round(z, 9) for z in zeta), budget)
+        groups = interv_groups if intervened else natural_groups
+        groups.setdefault(post_key, []).append(value)
 
     results: list[MarkovGroupResult] = []
     min_group = max(50, replicates // 100)
 
     def fresh_taus(key, count: int, index: int, salt: int) -> list[float]:
         mode, zeta, budget = key
-        out = []
-        for rep in range(count):
-            rng = np.random.default_rng([seed, salt, rep])
-            traj = simulate_controlled(StatePoint(mode, zeta), budget, table, model,
-                                       rng, horizon=horizon, collect_events=False)
-            out.append(traj.tau(index))
-        return out
+        fresh = lockstep_costs(model, table, StatePoint(mode, zeta), budget, 0.0,
+                               (seed, salt), count)
+        return _tau(fresh, index).tolist()
 
     salt = 1
     for key, sample in sorted(natural_groups.items()):

@@ -205,10 +205,6 @@ class KernelAtom:
     def is_static(self) -> bool:
         return all(e.is_constant for e in self.zeta_exprs)
 
-    def position(self, pre_zeta: Sequence[float]) -> tuple[float, ...]:
-        cols = list(np.asarray(pre_zeta, dtype=float))
-        return tuple(float(e({"zeta": cols})) for e in self.zeta_exprs)
-
     def positions(self, pre_pos: np.ndarray) -> np.ndarray:
         """Atom positions for an (n, d) array of pre-jump positions."""
         cols = [pre_pos[:, i] for i in range(pre_pos.shape[1])]
@@ -225,11 +221,6 @@ class KernelEntry:
     region: tuple[tuple[float, float], ...] | None  # inclusive box, None = whole closure
     atoms: tuple[KernelAtom, ...]
 
-    def matches(self, zeta: Sequence[float]) -> bool:
-        if self.region is None:
-            return True
-        return all(lo <= z <= hi for z, (lo, hi) in zip(zeta, self.region))
-
     def matches_many(self, pos: np.ndarray) -> np.ndarray:
         if self.region is None:
             return np.ones(pos.shape[0], dtype=bool)
@@ -239,39 +230,72 @@ class KernelEntry:
         return mask
 
 
+@dataclass(frozen=True)
+class AtomRecord:
+    """Kernel atom evaluated along a batch of pre-jump positions; ``atom`` is
+    its index within the kernel entry that claimed them."""
+
+    indices: np.ndarray
+    mode: int
+    positions: np.ndarray
+    prob: float
+    atom: int
+
+
 class KernelRuntime:
     """Finite-support transition kernel; first matching entry wins."""
 
     def __init__(self, entries: tuple[KernelEntry, ...]):
         self.entries = entries
 
+    def _owners(self, mode: int, pos: np.ndarray) -> np.ndarray:
+        """Index of the entry that claims each row of an (n, d) array of
+        pre-jump positions: the first entry of the mode whose region holds
+        the row, -1 where none does."""
+        owner = np.full(pos.shape[0], -1)
+        for e, entry in enumerate(self.entries):
+            if entry.from_mode == mode:
+                owner[(owner < 0) & entry.matches_many(pos)] = e
+        return owner
+
+    def claim(self, mode: int, pos: np.ndarray) -> list[tuple[KernelEntry, np.ndarray]]:
+        """The entries that claim rows of an (n, d) array of same-mode
+        pre-jump positions, in entry order, each with its rows in order.  A
+        row that no entry covers raises a kernel coverage error."""
+        owner = self._owners(mode, pos)
+        if (owner < 0).any():
+            raise _uncovered(mode, pos[np.argmax(owner < 0)])
+        return [(entry, rows) for e, entry in enumerate(self.entries)
+                if entry.from_mode == mode and (rows := np.flatnonzero(owner == e)).size]
+
+    def atom_records(self, mode: int, pos: np.ndarray) -> list[AtomRecord]:
+        """Every atom of the claiming entries, evaluated at the rows each
+        entry claims."""
+        records = []
+        for entry, rows in self.claim(mode, pos):
+            sub = pos[rows]
+            records += [AtomRecord(rows, atom.mode, atom.positions(sub), atom.prob, j)
+                        for j, atom in enumerate(entry.atoms)]
+        return records
+
     def static_atoms_for(self, mode: int):
-        """Fixed atom list when one region-free static entry covers the mode,
-        else None; lets callers skip per-position kernel evaluation."""
+        """Fixed (mode, position, probability) atom list when one region-free
+        static entry covers the mode, else None; lets callers skip
+        per-position kernel evaluation."""
         matching = [e for e in self.entries if e.from_mode == mode]
         if len(matching) == 1 and matching[0].region is None and all(
             a.is_static for a in matching[0].atoms
         ):
-            entry = matching[0]
-            return [
-                (a.mode, a.position((0.0,) * len(a.zeta_exprs)), a.prob)
-                for a in entry.atoms
-            ]
+            origin = np.zeros((1, len(matching[0].atoms[0].zeta_exprs)))
+            return [(a.mode, tuple(a.positions(origin)[0].tolist()), a.prob)
+                    for a in matching[0].atoms]
         return None
 
-    def entry_at(self, mode: int, zeta: Sequence[float]) -> KernelEntry:
-        for entry in self.entries:
-            if entry.from_mode == mode and entry.matches(zeta):
-                return entry
-        raise KernelCoverageError(
-            f"no kernel entry covers pre-jump point (mode={mode}, zeta={tuple(zeta)})"
-        )
 
-    def atoms_at(self, mode: int, zeta: Sequence[float]) -> list[tuple[StatePoint, float]]:
-        entry = self.entry_at(mode, zeta)
-        return [
-            (StatePoint(a.mode, a.position(zeta)), a.prob) for a in entry.atoms
-        ]
+def _uncovered(mode: int, row: np.ndarray) -> KernelCoverageError:
+    return KernelCoverageError(
+        f"no kernel entry covers pre-jump point (mode={mode}, zeta={tuple(row.tolist())})"
+    )
 
 
 class CostRuntime:
@@ -678,8 +702,11 @@ def validate_model(model: PdmpModel, grid_density: int = 50,
         )
     )
 
-    # Kernel atoms: interior, distinct from the pre-jump point.
+    # Kernel atoms: interior, distinct from the pre-jump point.  The first
+    # failing pre-jump point in sampling order is reported, with its first
+    # failing atom.
     atom_ok, atom_detail, atom_witness = True, "all sampled atoms interior and distinct", None
+    clean = np.iinfo(np.int64).max
     for mode in model.mode_ids:
         pts = _validation_points(model, mode, grid_density, rng)
         # Include reachable boundary points as pre-jump candidates.
@@ -687,32 +714,36 @@ def validate_model(model: PdmpModel, grid_density: int = 50,
             np.asarray(model.flow.position(mode, z, model.flow.hit_time(mode, z)))
             for z in pts[:: max(1, len(pts) // 16)]
         ]
-        for zeta in list(pts) + boundary:
-            try:
-                atoms = model.kernel.atoms_at(mode, zeta)
-            except KernelCoverageError as exc:
-                atom_ok, atom_detail = False, str(exc)
-                atom_witness = {"pre_jump": (mode, tuple(zeta))}
-                break
-            for point, _prob in atoms:
-                if not model.region(point.mode).contains_interior(point.zeta):
-                    atom_ok = False
-                    atom_detail = "atom on or outside region boundary"
-                    atom_witness = {"pre_jump": (mode, tuple(zeta)),
-                                    "atom": (point.mode, point.zeta)}
-                    break
-                same = point.mode == mode and float(
-                    np.linalg.norm(np.asarray(point.zeta) - np.asarray(zeta))
-                ) == 0.0
-                if same:
-                    atom_ok = False
-                    atom_detail = "atom equals its pre-jump point"
-                    atom_witness = {"pre_jump": (mode, tuple(zeta))}
-                    break
-            if not atom_ok:
-                break
-        if not atom_ok:
-            break
+        pre = np.vstack([pts, *boundary])
+        owner = model.kernel._owners(mode, pre)
+        # Per row: -1 if no entry covers it, else 2j if atom j is the first
+        # to fail by lying off its region's interior, 2j + 1 if by equalling
+        # the pre-jump point.
+        fault = np.where(owner < 0, -1, clean)
+        for e in np.unique(owner[owner >= 0]).tolist():
+            rows = np.flatnonzero(owner == e)
+            for j, atom in enumerate(model.kernel.entries[e].atoms):
+                at = atom.positions(pre[rows])
+                region = model.region(atom.mode)
+                inside = np.all((at > region.lower) & (at < region.upper), axis=1)
+                same = np.all(at == pre[rows], axis=1) & (atom.mode == mode)
+                code = np.where(inside, np.where(same, 2 * j + 1, clean), 2 * j)
+                fault[rows] = np.minimum(fault[rows], code)
+        bad = np.flatnonzero(fault != clean)
+        if not bad.size:
+            continue
+        k = bad[0]
+        atom_ok = False
+        atom_witness = {"pre_jump": (mode, tuple(pre[k].tolist()))}
+        if fault[k] < 0:
+            atom_detail = str(_uncovered(mode, pre[k]))
+        elif fault[k] % 2:
+            atom_detail = "atom equals its pre-jump point"
+        else:
+            atom = model.kernel.entries[owner[k]].atoms[fault[k] // 2]
+            atom_detail = "atom on or outside region boundary"
+            atom_witness["atom"] = (atom.mode, tuple(atom.positions(pre[k:k + 1])[0].tolist()))
+        break
     checks.append(CheckResult("kernel_atoms", atom_ok, atom_detail, atom_witness))
 
     # Intervention cost bounds and triangle property.

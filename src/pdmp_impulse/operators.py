@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .dynamics import IntensityPath, _check_start, hit_time
-from .errors import KernelCoverageError, ModelParseError, NumericalError
+from .errors import ModelParseError, NumericalError
 from .model import PdmpModel, StatePoint
 from .quadrature import GL_ORDER, interval_nodes, panel_cumulative, panel_nodes
 
@@ -124,47 +124,6 @@ class LscriptResult:
     branch: str
     wait_value: float
     detail: InfJResult
-
-
-@dataclass(frozen=True)
-class AtomRecord:
-    """Kernel atom evaluated along a batch of pre-jump positions; ``atom`` is
-    its index within the kernel entry that claimed them."""
-
-    indices: np.ndarray
-    mode: int
-    positions: np.ndarray
-    prob: float
-    atom: int
-
-
-def collect_atom_records(model: PdmpModel, mode: int,
-                         pos: np.ndarray) -> list[AtomRecord]:
-    """Kernel atoms for a batch of same-mode pre-jump positions.
-
-    Entries claim points first-match-wins; uncovered points raise a kernel
-    coverage error.
-    """
-    n = pos.shape[0]
-    claimed = np.zeros(n, dtype=bool)
-    records: list[AtomRecord] = []
-    for entry in model.kernel.entries:
-        if entry.from_mode != mode:
-            continue
-        mask = entry.matches_many(pos) & ~claimed
-        if not mask.any():
-            continue
-        idx = np.nonzero(mask)[0]
-        sub = pos[idx]
-        for j, atom in enumerate(entry.atoms):
-            records.append(AtomRecord(idx, atom.mode, atom.positions(sub), atom.prob, j))
-        claimed |= mask
-    if not claimed.all():
-        k = int(np.argmin(claimed))
-        raise KernelCoverageError(
-            f"no kernel entry covers point (mode={mode}, zeta={tuple(pos[k])})"
-        )
-    return records
 
 
 # Element budget of the batched curve: no (states, points) array along the
@@ -329,7 +288,7 @@ class JCurve:
         p = self.profile
         flat = pos.reshape(-1, pos.shape[-1])
         out = np.zeros(flat.shape[0])
-        for rec in collect_atom_records(p.model, p.mode, flat):
+        for rec in p.model.kernel.atom_records(p.mode, flat):
             out[rec.indices] += rec.prob * eval_many(self.w, rec.mode, rec.positions)
         return out.reshape(pos.shape[:-1])
 
@@ -513,8 +472,10 @@ def op_F(model: PdmpModel, x: StatePoint, t: float) -> float:
 
 def op_Qw(model: PdmpModel, w, pre: StatePoint) -> float:
     """Kernel average of w at a pre-jump point (finite atom sum, exact)."""
-    atoms = model.kernel.atoms_at(pre.mode, pre.zeta)
-    return float(sum(prob * w.eval(point) for point, prob in atoms))
+    return float(sum(
+        rec.prob * w.eval(StatePoint(rec.mode, tuple(rec.positions[0].tolist())))
+        for rec in model.kernel.atom_records(pre.mode, np.array([pre.zeta]))
+    ))
 
 
 def op_K(model: PdmpModel, w, x: StatePoint) -> float:

@@ -1,8 +1,9 @@
 """Replicate streams computed over arrays, one row per replicate.
 
-Row j of a batch carries the stream of ``np.random.default_rng([seed, reps[j]])``
-without building a Generator.  numpy's SeedSequence hashes the entropy words
-of ``[seed, r]`` into a pool of four 32-bit words and draws the PCG64 seed from
+Row j of a batch carries the stream of ``np.random.default_rng([seed, reps[j]])``,
+or of ``default_rng([seed, salt, reps[j]])`` for a key (seed, salt), without
+building a Generator.  numpy's SeedSequence hashes the entropy words of
+``[seed, r]`` into a pool of four 32-bit words and draws the PCG64 seed from
 it; PCG64 steps a 128-bit LCG and emits the XSL-RR 128->64 output of each new
 state (O'Neill, 2014).  Both run here on uint32/uint64 arrays.  A block of k
 doubles comes by jump-ahead, s_i = a^i s + (a^(i-1) + ... + 1) inc for
@@ -14,6 +15,7 @@ one ``Generator.random`` returns for that replicate.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from functools import lru_cache
 
@@ -125,18 +127,27 @@ def _jump_table(width: int):
     return _split(powers) + _split(sums)
 
 
-def seed_states(seed: int, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """PCG64 state and increment of ``default_rng([seed, r])`` for each r of
-    reps, as (rows, 2) uint64 arrays of (high, low) words."""
-    seed = operator.index(seed)
-    if seed < 0:
+def entropy_key(seed) -> tuple[int, ...]:
+    """The integers that precede r in ``default_rng([*key, r])``: one seed,
+    or a sequence of them such as (seed, salt)."""
+    key = tuple(map(operator.index, (seed,) if isinstance(seed, numbers.Integral) else seed))
+    if min(key) < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
+    return key
+
+
+def seed_states(seed, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """PCG64 state and increment of ``default_rng([*key, r])`` for each r of
+    reps, with the key of :func:`entropy_key`, as (rows, 2) uint64 arrays of
+    (high, low) words."""
+    key = entropy_key(seed)
     reps = np.asarray(reps)
     if (reps < 0).any():
         raise DomainError("replicate indices must be non-negative")
     if reps.dtype != object:
         reps = reps.astype(np.uint64)
-    seed_words = _words(np.array([seed], dtype=object))[0][0].tolist()
+    # numpy concatenates the 32-bit words of each integer of the sequence.
+    seed_words = [w for k in key for w in _words(np.array([k], dtype=object))[0][0].tolist()]
     state, inc = np.empty((reps.size, 2), np.uint64), np.empty((reps.size, 2), np.uint64)
     words, count = _words(reps)
     mult_hi, mult_lo = _split([PCG_MULT])

@@ -11,7 +11,6 @@ and restart target.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -36,7 +35,6 @@ from .operators import (
     MinRelocationValue,
     check_eps,
     chunk_rows,
-    collect_atom_records,
     op_Lscript,
 )
 from .quadrature import panel_cumulative
@@ -155,7 +153,7 @@ class GridSpec:
         for entry in model.kernel.entries:
             for atom in entry.atoms:
                 if atom.is_static:
-                    pos = np.asarray(atom.position(np.zeros(model.dim)))
+                    pos = atom.positions(np.zeros((1, model.dim)))[0]
                     pinned[atom.mode].append(pos)
         if self.extra_points:
             for m, pts in self.extra_points.items():
@@ -261,7 +259,7 @@ class GridOperator:
                 cols.append(np.tile(flat[0], n))
                 vals.append(((total * prob)[:, None] * coef).ravel())
         else:
-            for rec in collect_atom_records(model, mode, pos.reshape(-1, pos.shape[-1])):
+            for rec in model.kernel.atom_records(mode, pos.reshape(-1, pos.shape[-1])):
                 flat, coef = self._cells(rec.mode, rec.positions)
                 weight = jump.ravel()[rec.indices] * rec.prob
                 nodes.append(np.repeat(rec.indices // wq.shape[1], coef.shape[1]))
@@ -269,7 +267,7 @@ class GridOperator:
                 vals.append((coef * weight[:, None]).ravel())
         t_star = geo.t_star[rows]
         end_damp = geo.damping(rows, t_star)
-        for rec in collect_atom_records(model, mode, geo.flow(t_star, rows)):
+        for rec in model.kernel.atom_records(mode, geo.flow(t_star, rows)):
             flat, coef = self._cells(rec.mode, rec.positions)
             nodes.append(np.repeat(rec.indices, coef.shape[1]))
             cols.append(flat.ravel())
@@ -370,7 +368,6 @@ class PolicyTable:
     h: FunctionStore
     stages: list[PolicyStage] = field(default_factory=list)
     grid_spec: dict | None = None
-    _lists: dict = field(default_factory=dict, init=False, repr=False)
     _arrays: dict = field(default_factory=dict, init=False, repr=False)
 
     def value_store(self, k: int) -> FunctionStore:
@@ -390,63 +387,17 @@ class PolicyTable:
     def node_positions(self, mode: int) -> np.ndarray:
         return _node_mesh(self.axes[mode])
 
-    def lookup(self, mode: int, zeta, budget: int) -> tuple[bool, float, int]:
-        """Waiting flag, intervention time r and restart index for budget >= 1.
+    def lookup_many(self, mode: int, zeta: np.ndarray, budget):
+        """Waiting flag, intervention time r and restart index at an (n, d)
+        array of positions in one mode; budget is one int or an (n,) int
+        array, each at least 1.  Returns (wait, r, y_index) arrays.
 
         The branch and the restart index are the nearest node's, the lowest
-        cell corner winning ties.  r interpolates over the corners on that
-        branch: the plain multilinear sum when all corners agree, the stored r
-        when the nearest node agrees alone, else the weights renormalised over
-        the agreeing corners.  Grids and branch fields are cached as plain
-        lists on first use.
-        """
-        fields = self._lists.get((budget, mode))
-        if fields is None:
-            fields = self._lists[(budget, mode)] = self._plain_lists(mode, budget)
-        axes, offsets, waits, rs, ys = fields
-        if len(zeta) != len(axes):
-            raise ExtrapolationError(
-                f"query {tuple(zeta)} has {len(zeta)} coordinates; the table has {len(axes)}"
-            )
-        base = 0
-        coefs = [1.0]
-        for z, (axis, stride, last, z_lo, z_hi) in zip(zeta, axes):
-            if not z_lo <= z <= z_hi:
-                raise ExtrapolationError(
-                    f"query (mode={mode}, zeta={tuple(zeta)}) outside grid coverage"
-                )
-            i = bisect.bisect_right(axis, z) - 1
-            if i < 0:
-                i = 0
-            elif i > last:
-                i = last
-            t = (z - axis[i]) / (axis[i + 1] - axis[i])
-            base += i * stride
-            coefs = [c * f for f in (1.0 - t, t) for c in coefs]
-        nearest = base + offsets[coefs.index(max(coefs))]
-        wait = waits[nearest]
-        total = weight = 0.0
-        agreeing = 0
-        for offset, c in zip(offsets, coefs):
-            if waits[base + offset] == wait:
-                total += rs[base + offset] * c
-                weight += c
-                agreeing += 1
-        if agreeing == len(coefs):
-            r = total
-        elif agreeing == 1:
-            r = rs[nearest]
-        else:
-            r = total / weight
-        return wait, r, ys[nearest]
-
-    def lookup_many(self, mode: int, zeta: np.ndarray, budget):
-        """:meth:`lookup` for an (n, d) array of positions in one mode; budget
-        is one int or an (n,) int array, each at least 1.
-
-        The corner rule runs over arrays with the same product order,
-        first-max tie rule and summation order, so every row gets the bits
-        that :meth:`lookup` gives it.  Returns (wait, r, y_index) arrays.
+        cell corner winning weight ties.  r interpolates over the corners on
+        that branch: the plain multilinear sum when all corners agree, the
+        stored r when the nearest node agrees alone, else the weights
+        renormalised over the agreeing corners.  Branch fields of every stage
+        are stacked into arrays on first use.
         """
         fields = self._arrays.get(mode)
         if fields is None:
@@ -471,11 +422,11 @@ class PolicyTable:
                     f"query (mode={mode}, zeta={tuple(zeta[np.argmax(outside)])}) "
                     "outside grid coverage"
                 )
-            i = np.clip(np.searchsorted(axis, z, side="right") - 1, 0, last)
+            i = np.minimum(np.maximum(np.searchsorted(axis, z, side="right") - 1, 0), last)
             t = (z - axis[i]) / (axis[i + 1] - axis[i])
             base += i * stride
             coefs = [c * f for f in (1.0 - t, t) for c in coefs]
-        nearest = base + offsets[np.argmax(np.stack(coefs), axis=0)]
+        nearest = base + offsets[np.argmax(np.array(coefs), axis=0)]
         wait = waits[nearest]
         total = weight = 0.0
         agreeing = 0
@@ -493,8 +444,8 @@ class PolicyTable:
 
     def _cell_layout(self, mode: int):
         """Per axis (grid, flat stride, last cell index, widened coverage
-        bounds), and the flat offsets of a cell's corners: the layout both
-        lookups walk."""
+        bounds), and the flat offsets of a cell's corners: the layout
+        :meth:`lookup_many` walks."""
         if mode not in self.axes:
             raise ExtrapolationError(f"mode {mode} not covered by the policy table")
         axes = self.axes[mode]
@@ -504,13 +455,6 @@ class PolicyTable:
         for stride in strides:
             offsets = offsets + [o + stride for o in offsets]
         return list(zip(axes, strides, [len(a) - 2 for a in axes], lo, hi)), offsets
-
-    def _plain_lists(self, mode: int, budget: int):
-        axes, offsets = self._cell_layout(mode)
-        stage = self._stage(budget)
-        axes = [(axis.tolist(), *rest) for axis, *rest in axes]
-        return (axes, offsets, stage.wait[mode].ravel().tolist(),
-                stage.r[mode].ravel().tolist(), stage.y_index[mode].ravel().tolist())
 
     def _stacked_arrays(self, mode: int):
         """Branch fields of every stage concatenated, stage k at offset
@@ -589,15 +533,15 @@ def policy_query(table: PolicyTable, x: StatePoint, N: int,
                  model: PdmpModel | None = None) -> PolicyQueryResult:
     """Intervention time, restart point and branch for budget N at state x.
 
-    Budget 0 never intervenes.  Otherwise this is :meth:`PolicyTable.lookup`,
-    the rule the simulator follows; given the model, the waiting branch
-    reports the exact boundary-hit time at x.
+    Budget 0 never intervenes.  Otherwise this is one row of
+    :meth:`PolicyTable.lookup_many`, the rule the simulator follows; given the
+    model, the waiting branch reports the exact boundary-hit time at x.
     """
     if N < 0 or N > table.n_max:
         raise PolicyCoverageError(f"budget {N} outside table range 0..{table.n_max}")
     if N == 0:
         return PolicyQueryResult(math.inf, None, BRANCH_NONE)
-    wait, r, y_idx = table.lookup(x.mode, x.zeta, N)
+    wait, r, y_idx = (a[0] for a in table.lookup_many(x.mode, np.array([x.zeta]), N))
     if wait:
         if model is not None:
             r = model.flow.hit_time(x.mode, x.zeta)

@@ -1,33 +1,36 @@
-"""Scalar reference for the jump-or-intervene curve: one state at a time.
+"""Scalar references, one state at a time, for code the package runs batched.
 
-The package runs the curve batched over states (``pdmp_impulse.operators``).
-This module keeps the earlier per-state implementation, unchanged, as an
-independent oracle: :class:`FlowProfile`, :class:`JCurve`, the scalar
-golden-section and bisection searches and ``_inf_from_curve``.  ``lscript``
-and ``exact_value`` are the single jump-or-intervention step and the exact
-budget-k recursion built on them.
+The package runs the jump-or-intervene curve batched over states
+(``pdmp_impulse.operators``).  This module keeps the earlier per-state
+implementation, unchanged, as an independent oracle: :class:`FlowProfile`,
+:class:`JCurve`, the scalar golden-section and bisection searches and
+``_inf_from_curve``.  ``lscript`` and ``exact_value`` are the single
+jump-or-intervention step and the exact budget-k recursion built on them.
+
+It also keeps the earlier one-point policy lookup (``lookup``, the corner
+rule of ``PolicyTable.lookup_many`` on plain lists) and kernel claim
+(``atoms_at``, the first entry whose closed box holds the point).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Callable
 
 import numpy as np
 
 from pdmp_impulse.dynamics import IntensityPath, hit_time
-from pdmp_impulse.errors import NumericalError
-from pdmp_impulse.model import PdmpModel, StatePoint
+from pdmp_impulse.errors import ExtrapolationError, KernelCoverageError, NumericalError
+from pdmp_impulse.model import AtomRecord, PdmpModel, StatePoint
 from pdmp_impulse.operators import (
     BRANCH_INTERVENE,
     BRANCH_WAIT,
     GOLDEN_RATIO_STEP,
-    AtomRecord,
     FunctionEvaluable,
     InfJResult,
     LscriptResult,
     MinRelocationValue,
-    collect_atom_records,
     eval_many,
 )
 from pdmp_impulse.quadrature import interval_nodes, panel_cumulative, panel_nodes
@@ -72,10 +75,10 @@ class FlowProfile:
         self.running_grid = panel_cumulative(self.damp_s * self.f_s, wq)
         end = np.asarray(model.flow.position(x.mode, zeta, self.t_star))
         self.end_point = StatePoint(x.mode, tuple(float(v) for v in end))
-        self.end_atoms = model.kernel.atoms_at(x.mode, end)
+        self.end_atoms = atoms_at(model, x.mode, end)
         self.static_atoms = model.kernel.static_atoms_for(x.mode)
         if self.static_atoms is None:
-            self.atom_records = collect_atom_records(model, x.mode, self.pos)
+            self.atom_records = model.kernel.atom_records(x.mode, self.pos)
         else:
             self.atom_records = [
                 AtomRecord(
@@ -119,7 +122,7 @@ class FlowProfile:
         if pos.ndim == 1:
             pos = pos[None, :]
         out = np.zeros(len(s_points))
-        for rec in collect_atom_records(self.model, self.x.mode, pos):
+        for rec in self.model.kernel.atom_records(self.x.mode, pos):
             out[rec.indices] += rec.prob * eval_many(w, rec.mode, rec.positions)
         return out
 
@@ -298,3 +301,69 @@ def exact_value(model: PdmpModel, h, k: int, x: StatePoint, eps: float,
         return memo[key]
 
     return float(recurse(k, x))
+
+
+def lookup(table, mode: int, zeta, budget: int) -> tuple[bool, float, int]:
+    """Waiting flag, intervention time r and restart index for budget >= 1.
+
+    The branch and the restart index are the nearest node's, the lowest cell
+    corner winning ties.  r interpolates over the corners on that branch: the
+    plain multilinear sum when all corners agree, the stored r when the
+    nearest node agrees alone, else the weights renormalised over the
+    agreeing corners.
+    """
+    axes, offsets = table._cell_layout(mode)
+    stage = table._stage(budget)
+    waits = stage.wait[mode].ravel().tolist()
+    rs = stage.r[mode].ravel().tolist()
+    ys = stage.y_index[mode].ravel().tolist()
+    if len(zeta) != len(axes):
+        raise ExtrapolationError(
+            f"query {tuple(zeta)} has {len(zeta)} coordinates; the table has {len(axes)}"
+        )
+    base = 0
+    coefs = [1.0]
+    for z, (axis, stride, last, z_lo, z_hi) in zip(zeta, axes):
+        if not z_lo <= z <= z_hi:
+            raise ExtrapolationError(
+                f"query (mode={mode}, zeta={tuple(zeta)}) outside grid coverage"
+            )
+        axis = axis.tolist()
+        i = bisect.bisect_right(axis, z) - 1
+        if i < 0:
+            i = 0
+        elif i > last:
+            i = last
+        t = (z - axis[i]) / (axis[i + 1] - axis[i])
+        base += i * stride
+        coefs = [c * f for f in (1.0 - t, t) for c in coefs]
+    nearest = base + offsets[coefs.index(max(coefs))]
+    wait = waits[nearest]
+    total = weight = 0.0
+    agreeing = 0
+    for offset, c in zip(offsets, coefs):
+        if waits[base + offset] == wait:
+            total += rs[base + offset] * c
+            weight += c
+            agreeing += 1
+    if agreeing == len(coefs):
+        r = total
+    elif agreeing == 1:
+        r = rs[nearest]
+    else:
+        r = total / weight
+    return wait, r, ys[nearest]
+
+
+def atoms_at(model: PdmpModel, mode: int, zeta) -> list[tuple[StatePoint, float]]:
+    """Kernel atoms at one pre-jump point: those of the first entry of the
+    mode whose closed box holds it."""
+    for entry in model.kernel.entries:
+        if entry.from_mode == mode and (entry.region is None or all(
+                lo <= z <= hi for z, (lo, hi) in zip(zeta, entry.region))):
+            cols = list(np.asarray(zeta, dtype=float))
+            return [(StatePoint(a.mode, tuple(float(e({"zeta": cols})) for e in a.zeta_exprs)),
+                     a.prob) for a in entry.atoms]
+    raise KernelCoverageError(
+        f"no kernel entry covers pre-jump point (mode={mode}, zeta={tuple(zeta)})"
+    )

@@ -31,6 +31,7 @@ from pdmp_impulse.valuefn import (
     value_iterate,
 )
 
+import oracle
 from conftest import FEATURE_MODELS, MODEL_PATH, feature_model, rm1_doc
 
 EPS = 0.01
@@ -131,7 +132,7 @@ def assert_lookup_many_is_lookup(table, mode, zeta, rng):
         wait, r, y = table.lookup_many(mode, zeta, budget)
         for k, z in enumerate(zeta.tolist()):
             b = budget if np.isscalar(budget) else int(budget[k])
-            want = table.lookup(mode, tuple(z), b)
+            want = oracle.lookup(table, mode, tuple(z), b)
             assert (bool(wait[k]), float(r[k]).hex(), int(y[k])) == \
                 (want[0], float(want[1]).hex(), want[2]), (mode, z, b)
 
@@ -169,6 +170,27 @@ def test_lookup_many_breaks_weight_ties_as_lookup(dim):
     halves = _node_mesh((np.arange(0.5, 10.0),) * dim)
     zeta = np.concatenate([halves, 10.0 * rng.random((200, dim)), _node_mesh(axes[1])])
     assert_lookup_many_is_lookup(table, 1, zeta, rng)
+
+
+@pytest.mark.parametrize("name", ["affine_intensity_region_split_kernel", "planar_intervening"])
+def test_array_claim_draws_the_scalar_claim_atoms(name):
+    """Atoms drawn over arrays, with entries claiming rows first-match-wins,
+    are the one-point claim's inverse-CDF picks, on region edges too."""
+    model, _density = feature_model(name)
+    rng = np.random.default_rng(3)
+    for mode in model.mode_ids:
+        region = model.region(mode)
+        lo, hi = np.asarray(region.lower), np.asarray(region.upper)
+        pre = lo + (hi - lo) * rng.random((300, lo.size))
+        pre[:3] = [lo, hi, np.full(lo.size, 5.0)]
+        u = rng.random(pre.shape[0])
+        post_mode, post_pos, atom = dynamics._draw_atoms(model.kernel, mode, pre, u)
+        for k in range(pre.shape[0]):
+            atoms = oracle.atoms_at(model, mode, tuple(pre[k].tolist()))
+            cdf = np.cumsum([prob for _point, prob in atoms])
+            j = min(int(np.searchsorted(cdf, u[k], side="right")), len(atoms) - 1)
+            assert (int(post_mode[k]), tuple(post_pos[k].tolist()), int(atom[k])) == \
+                (atoms[j][0].mode, atoms[j][0].zeta, j), (mode, pre[k])
 
 
 @pytest.mark.parametrize("batch", [1, 7])

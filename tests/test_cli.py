@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdmp_impulse import operators
+from pdmp_impulse import cli, operators
 from pdmp_impulse.cli import main
 from pdmp_impulse.errors import DomainError
 from pdmp_impulse.model import as_state
@@ -68,9 +68,12 @@ def test_compute_value_outputs(cli_workspace):
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--eps", "nan"), ("--eps", "inf"), ("--h-tol", "nan"), ("--h-tol", "0"),
+    ("--eps", "nan"), ("--eps", "inf"), ("--h-tol", "nan"), ("--h-tol", "0"), ("--nmax", "0"),
 ])
-def test_compute_value_rejects_non_finite_tolerances(tmp_path, flag, value):
+def test_compute_value_rejects_non_finite_tolerances(tmp_path, monkeypatch, flag, value):
+    if flag != "--h-tol":
+        # --eps and --nmax are checked before the h solve.
+        monkeypatch.setattr(cli, "compute_h", None)
     code = run_cli("compute-value", "--model", MODEL_PATH, "--out", tmp_path,
                    "--nmax", "1", "--grid", "20", flag, value)
     assert code == 2
@@ -117,9 +120,10 @@ _ONE_STATE_ENTRIES = {
 def test_non_interior_start_is_rejected(cli_workspace, tmp_path, rm1, rm1_h, entry, zeta):
     # Mode 1 of rm1 is [0, 10]: 11.0 lies outside it, 10.0 on its boundary.
     if entry == "report --x0":
+        # Every start is checked before the first file is written.
         args = _command_args("report", cli_workspace / "policy.pdmpval", tmp_path)
-        args[-1] = f"1:{zeta}"
-        assert run_cli(*args) == 2
+        assert run_cli(*args, "--x0", f"1:{zeta}") == 2
+        assert not any(tmp_path.iterdir())
     else:
         with pytest.raises(DomainError, match="interior"):
             _ONE_STATE_ENTRIES[entry](rm1, rm1_h, as_state(1, zeta))
@@ -279,27 +283,39 @@ def test_bad_x0_argument(cli_workspace):
     assert code == 2
 
 
-@pytest.mark.parametrize("x0", ["3:2.0", "1:2.0,3.0", "1:12.0"])
-def test_simulate_bad_start_point_exit_code(cli_workspace, tmp_path, capsys, x0):
-    code = run_cli(
-        "simulate", "--model", MODEL_PATH, "--out", tmp_path,
-        "--artifact", cli_workspace / "policy.pdmpval",
-        "--x0", x0, "--n0", "0,1", "--replicates", "100",
-    )
+_BAD_STARTS = ["3:2.0", "1:2.0,3.0", "1:12.0"]
+
+
+@pytest.mark.parametrize("command,x0", [
+    *(pytest.param("simulate", x0, id=x0) for x0 in _BAD_STARTS),
+    *(pytest.param("compute-value", x0, id=f"compute-value-{x0}") for x0 in _BAD_STARTS),
+])
+def test_simulate_bad_start_point_exit_code(cli_workspace, tmp_path, capsys, command, x0):
+    if command == "simulate":
+        extra = ["--artifact", cli_workspace / "policy.pdmpval", "--n0", "0,1",
+                 "--replicates", "100"]
+    else:
+        extra = ["--grid", "20", "--nmax", "1"]
+    code = run_cli(command, "--model", MODEL_PATH, "--out", tmp_path, "--x0", "1:2.0",
+                   "--x0", x0, *extra)
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "start" in err and "Traceback" not in err
-    assert not (tmp_path / "cost_report.csv").exists()
+    assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("command", ["simulate", "validate"])
-def test_negative_seed_exit_code(cli_workspace, tmp_path, capsys, command):
-    args = ["--model", MODEL_PATH, "--out", tmp_path, "--seed", "-1"]
+@pytest.mark.parametrize("command,flag", [
+    pytest.param("simulate", "--seed", id="simulate"),
+    pytest.param("validate", "--seed", id="validate"),
+    pytest.param("simulate", "--dump-trajectories", id="simulate-dump-trajectories"),
+])
+def test_negative_seed_exit_code(cli_workspace, tmp_path, capsys, command, flag):
+    args = ["--model", MODEL_PATH, "--out", tmp_path, flag, "-1"]
     if command == "simulate":
         args += ["--artifact", cli_workspace / "policy.pdmpval", "--x0", "1:2.0",
                  "--n0", "0,1", "--replicates", "100"]
     code = run_cli(command, *args)
     assert code == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "--seed" in err and "Traceback" not in err
+    assert err.count("\n") == 1 and flag in err and "Traceback" not in err
     assert not any(tmp_path.iterdir())

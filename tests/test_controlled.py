@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,12 +17,18 @@ from pdmp_impulse.controlled import (
     estimate_cost_J,
     simulate_controlled,
 )
-from pdmp_impulse.dynamics import default_horizon, hit_time, simulate_uncontrolled
+from pdmp_impulse.dynamics import (
+    _raw_step,
+    _runtime,
+    default_horizon,
+    hit_time,
+    simulate_uncontrolled,
+)
 from pdmp_impulse.errors import DomainError, PolicyCoverageError
 from pdmp_impulse.model import StatePoint, as_state, load_model
 from pdmp_impulse.valuefn import GridSpec, compute_h, policy_query, value_iterate
 
-from conftest import rm1_doc
+from conftest import feature_model, rm1_doc
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +291,49 @@ def test_joint_law_budget_two_includes_boundary(rm1, rm1_table):
     # Budget 2 waits in mode 1, so the boundary carries the survival mass.
     assert boundary.expected == pytest.approx(math.exp(-1.0), rel=1e-9)
     assert report.max_abs_dev < 4.0
+
+
+def _first_step_tally(model, table, x0, n0, seed, replicates):
+    """Row counts of the joint-law report, tallied over the scalar step core
+    on the replicate streams default_rng([seed, r])."""
+    rt = _runtime(model)
+    tally = Counter()
+    for rep in range(replicates):
+        step = _raw_step(rt, table, x0.mode, x0.zeta, n0, np.random.default_rng([seed, rep]))
+        kind, cap_hit, index = step[1], step[2], step[7]
+        if kind == INTERVENTION:
+            tally["intervention"] += 1
+        elif cap_hit:
+            tally["boundary_natural_jump"] += 1
+            tally[f"boundary_atom_{index}"] += 1
+        else:
+            tally["interior_jump"] += 1
+            tally[f"interior_atom_{index}"] += 1
+    return tally
+
+
+@pytest.fixture(scope="module")
+def region_split():
+    model, density = feature_model("affine_intensity_region_split_kernel")
+    spec = GridSpec(density=density, extra_points={1: ((7.0,),)})
+    h = compute_h(model, spec, tol=1e-9, n_t=64)
+    return model, value_iterate(model, h, n_max=2, eps=0.01, n_t=64)
+
+
+@pytest.mark.parametrize("n0", [0, 1, 2])
+@pytest.mark.parametrize("name", ["rm1", "region_split"])
+def test_joint_law_counts_tally_the_scalar_first_steps(rm1, rm1_table, region_split, name, n0):
+    """The lockstep engine's first-step record gives the counts that the
+    scalar step core gives, replicate for replicate."""
+    if name == "rm1":
+        model, table, x0, replicates = rm1, rm1_table, as_state(1, 2.0), 3000
+    else:
+        (model, table), x0, replicates = region_split, as_state(1, 7.0), 300
+    report = check_joint_law(x0, n0, table, model, replicates=replicates, seed=60 + n0)
+    tally = _first_step_tally(model, table, x0, n0, 60 + n0, replicates)
+    assert {r.name: r.count for r in report.rows} == \
+        {r.name: tally[r.name] for r in report.rows}
+    assert {row for row, count in tally.items() if count} <= {r.name for r in report.rows}
 
 
 # ---------------------------------------------------------------------------

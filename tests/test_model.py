@@ -148,9 +148,11 @@ def test_kernel_coverage_error():
     doc = rm1_doc()
     doc["kernel"][0]["region"] = [[0.0, 4.0]]  # mode-1 coverage hole above 4
     model = load_model(doc)
-    with pytest.raises(KernelCoverageError):
-        model.kernel.atoms_at(1, (6.0,))
-    assert model.kernel.atoms_at(1, (3.0,))
+    with pytest.raises(KernelCoverageError, match=r"zeta=\(6\.0,\)"):
+        model.kernel.claim(1, np.array([[3.0], [6.0], [4.0]]))
+    [(entry, rows)] = model.kernel.claim(1, np.array([[3.0], [4.0]]))
+    assert entry is model.kernel.entries[0]
+    assert rows.tolist() == [0, 1]
 
 
 def test_region_membership_helpers(rm1):
@@ -175,9 +177,8 @@ def test_static_atoms_helper(rm1):
     doc["kernel"][0]["atoms"][0]["zeta"] = ["zeta[0]*0.5 + 1.0"]
     model = load_model(doc)
     assert model.kernel.static_atoms_for(1) is None
-    point, prob = model.kernel.atoms_at(1, (4.0,))[0]
-    assert point.zeta == (3.0,)
-    assert prob == 1.0
+    [rec] = model.kernel.atom_records(1, np.array([[4.0]]))
+    assert (rec.mode, rec.positions.tolist(), rec.prob, rec.atom) == (2, [[3.0]], 1.0, 0)
 
 
 def test_content_hash_tracks_document():

@@ -25,8 +25,8 @@ REPS = np.array([0, 1, 511, 512, 2**32 - 1, 2**32, 2**40])
 BLOCKS = 3
 
 
-def _reference(seed, rep, n):
-    return np.random.default_rng([seed, int(rep)]).random(n).view(np.uint64)
+def _reference(seed, rep, n, salt=()):
+    return np.random.default_rng([seed, *salt, int(rep)]).random(n).view(np.uint64)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -69,12 +69,17 @@ def test_block_width_follows_draw_block(monkeypatch):
 
 def test_replicates_of_any_word_count():
     reps = np.array([5, 2**64 + 1, 2**70, 2**100 + 7, 2**130], dtype=object)
-    for seed in (0, 2**40 + 3, 2**100):
-        state, inc = seed_states(seed, reps)
-        out = np.empty((reps.size, 5))
-        fill_block(state, inc, out)
-        for row, rep in enumerate(reps):
-            assert np.array_equal(out[row].view(np.uint64), _reference(seed, rep, 5))
+    # A key prefix (seed, salt, ...) seeds default_rng([seed, salt, ..., r]).
+    for salt in ((), (0,), (1,), (2**32,), (2**70 + 9,), (3, 2**40)):
+        for seed in (0, 2**40 + 3, 2**100):
+            state, inc = seed_states((seed, *salt), reps)
+            out = np.empty((reps.size, 5))
+            fill_block(state, inc, out)
+            for row, rep in enumerate(reps):
+                assert np.array_equal(out[row].view(np.uint64),
+                                      _reference(seed, rep, 5, salt)), (seed, salt, rep)
+            if not salt:
+                assert np.array_equal(seed_states(seed, reps)[0], state)
 
 
 def test_negative_seed_or_replicate_is_a_domain_error():
@@ -86,9 +91,21 @@ def test_negative_seed_or_replicate_is_a_domain_error():
 
 def test_a_changed_default_rng_fails_the_contract_check(monkeypatch):
     real = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: real([seed[0] + 1, seed[1]]))
-    with pytest.raises(NumericalError, match=np.__version__):
-        _Streams(0, REPS)
+    seen = []
+
+    def spy(entropy):
+        seen.append(list(entropy))
+        return real(entropy)
+
+    # The check compares against default_rng([*key, r]) of the first row.
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    _Streams((4, 2**33), REPS[1:])
+    assert seen == [[4, 2**33, int(REPS[1])]]
+    for key, changed in ((0, lambda entropy: real([entropy[0] + 1, entropy[1]])),
+                         ((4, 2**33), lambda entropy: real([entropy[0], entropy[-1]]))):
+        monkeypatch.setattr(np.random, "default_rng", changed)
+        with pytest.raises(NumericalError, match=np.__version__):
+            _Streams(key, REPS)
 
 
 @pytest.fixture(scope="module")

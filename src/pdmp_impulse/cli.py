@@ -266,7 +266,11 @@ def cmd_report(args) -> int:
                 groups.setdefault((row["x0"], row["N0"]), []).append(float(row["cost"]))
         for (x0_label, n0), costs in sorted(groups.items()):
             arr = np.asarray(costs)
-            counts, edges = np.histogram(arr, bins=40)
+            span = (arr.min(), arr.max())
+            # 40 bins need distinct edges; a spread of a few ulps is widened as a zero one.
+            if not np.all(np.diff(np.linspace(*span, 41)) > 0):
+                span = (span[0] - 0.5, span[1] + 0.5)
+            counts, edges = np.histogram(arr, bins=40, range=span)
             for j in range(len(counts)):
                 hist_rows.append([x0_label, n0, float(edges[j]), float(edges[j + 1]),
                                   int(counts[j])])

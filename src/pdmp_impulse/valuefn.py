@@ -7,6 +7,11 @@ functions V_k then follow the single-jump-or-intervention recursion: at every
 grid node the strictly cheaper of "wait for the natural jump" and "intervene
 at the eps-threshold time" is recorded together with the intervention time
 and restart target.
+
+Value interpolation, policy lookup and operator assembly find grid cells
+through one locator, :meth:`FunctionStore.locate`: a position is served when
+every coordinate lies in its mode's region widened by a rounding slack, and
+a NaN coordinate counts as outside.
 """
 
 from __future__ import annotations
@@ -43,38 +48,30 @@ BRANCH_NONE = "no-intervention"
 
 
 def _cell_weights(axes: tuple[np.ndarray, ...], pos: np.ndarray):
-    """Multilinear cell indices and weights for an (n, d) position batch."""
-    n, d = pos.shape
-    base_idx = []
-    frac = []
-    for k in range(d):
-        axis = axes[k]
-        i = np.clip(np.searchsorted(axis, pos[:, k]) - 1, 0, len(axis) - 2)
-        w = (pos[:, k] - axis[i]) / (axis[i + 1] - axis[i])
-        base_idx.append(i)
-        frac.append(w)
-    shape = tuple(len(a) for a in axes)
-    corners = 2 ** d
-    flat = np.empty((n, corners), dtype=np.int64)
-    coef = np.empty((n, corners))
-    for corner in range(corners):
-        ii = []
-        cc = np.ones(n)
-        for k in range(d):
-            bit = (corner >> k) & 1
-            ii.append(base_idx[k] + bit)
-            cc = cc * (frac[k] if bit else (1.0 - frac[k]))
-        flat[:, corner] = np.ravel_multi_index(ii, shape)
-        coef[:, corner] = cc
+    """Flat corner indices and multilinear weights, both (n, 2^d), of the
+    grid cells holding an (n, d) position batch.  Corner bit k steps along
+    axis k; flat indices run last axis fastest.  A position on an inner node
+    takes the cell above it, and one past the outer nodes the outer cell."""
+    flat = np.zeros((pos.shape[0], 1), dtype=np.int64)
+    coef = np.ones((pos.shape[0], 1))
+    for k, axis in enumerate(axes):
+        stride = math.prod(len(a) for a in axes[k + 1:])
+        z = pos[:, k]
+        i = np.minimum(np.maximum(np.searchsorted(axis, z, side="right") - 1, 0),
+                       len(axis) - 2)
+        t = ((z - axis[i]) / (axis[i + 1] - axis[i]))[:, None]
+        flat = flat + (i * stride)[:, None]
+        flat = np.concatenate([flat, flat + stride], axis=1)
+        coef = np.concatenate([coef * (1.0 - t), coef * t], axis=1)
     return flat, coef
 
 
-def _coverage_box(lo, hi) -> tuple[list[float], list[float]]:
+def _coverage_box(lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Coverage bounds widened by the slack that absorbs rounding at the
     region boundary; queries inside them are served, others extrapolate."""
-    slack = [1e-9 * max(1.0, h - l) for l, h in zip(lo, hi)]
-    return ([l - s for l, s in zip(lo, slack)],
-            [h + s for h, s in zip(hi, slack)])
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    slack = 1e-9 * np.maximum(1.0, hi - lo)
+    return lo - slack, hi + slack
 
 
 def _node_mesh(axes: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -107,31 +104,33 @@ class FunctionStore:
             bound = max(float(np.max(np.abs(v))) for v in self.values.values())
         self.bound = float(bound)
 
-    def modes(self):
-        return tuple(self.axes)
-
-    def _check_coverage(self, mode: int, pos: np.ndarray):
-        if mode not in self.axes:
+    def locate(self, mode: int, pos: np.ndarray):
+        """Flat corner indices and weights of the cells holding an (n, d)
+        position batch in one mode (:func:`_cell_weights`).  A position
+        outside the mode's widened coverage box, or with a NaN coordinate,
+        raises :class:`ExtrapolationError`."""
+        axes = self.axes.get(mode)
+        if axes is None:
             raise ExtrapolationError(f"mode {mode} not covered by this store")
-        lo, hi = _coverage_box(*self.coverage[mode])
-        below = pos < np.asarray(lo)
-        above = pos > np.asarray(hi)
-        if below.any() or above.any():
-            k = int(np.argmax((below | above).any(axis=1)))
+        if pos.ndim != 2 or pos.shape[1] != len(axes):
             raise ExtrapolationError(
-                f"query (mode={mode}, zeta={tuple(pos[k])}) outside grid coverage"
+                f"queries of shape {pos.shape} do not fit the store's {len(axes)} coordinates"
             )
+        lo, hi = _coverage_box(*self.coverage[mode])
+        outside = ~((lo <= pos) & (pos <= hi)).all(axis=1)
+        if outside.any():
+            raise ExtrapolationError(
+                f"query (mode={mode}, zeta={tuple(pos[np.argmax(outside)].tolist())}) "
+                "outside grid coverage"
+            )
+        return _cell_weights(axes, pos)
 
     def eval(self, x: StatePoint) -> float:
         return float(self.eval_many(x.mode, np.asarray(x.zeta)[None, :])[0])
 
     def eval_many(self, mode: int, pos: np.ndarray) -> np.ndarray:
-        pos = np.atleast_2d(np.asarray(pos, dtype=float))
-        self._check_coverage(mode, pos)
-        axes = self.axes[mode]
-        vals = self.values[mode].ravel()
-        flat, coef = _cell_weights(axes, pos)
-        return (vals[flat] * coef).sum(axis=1)
+        flat, coef = self.locate(mode, np.atleast_2d(np.asarray(pos, dtype=float)))
+        return (self.values[mode].ravel()[flat] * coef).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -172,26 +171,12 @@ class GridSpec:
             axes[m] = tuple(mode_axes)
         return axes
 
-    def coverage(self, model: PdmpModel):
+    @staticmethod
+    def coverage(model: PdmpModel):
         return {
             m: (model.region(m).lower, model.region(m).upper)
             for m in model.mode_ids
         }
-
-
-def _node_profiles(model: PdmpModel, axes: dict[int, tuple[np.ndarray, ...]],
-                   n_t: int):
-    """Global index of the first node and flow profile of consecutive
-    same-mode chunks of grid nodes, in global node order."""
-    if n_t < 2:
-        raise ModelParseError("n_t must be at least 2")
-    size = chunk_rows(n_t)
-    offset = 0
-    for m in model.mode_ids:
-        nodes = _node_mesh(axes[m])
-        for lo in range(0, nodes.shape[0], size):
-            yield offset + lo, FlowProfile(model, m, nodes[lo:lo + size], n_t)
-        offset += nodes.shape[0]
 
 
 class GridOperator:
@@ -202,25 +187,26 @@ class GridOperator:
     nonnegative weights coupling each node to the interpolation cells of the
     kernel atoms seen along its flow line.  B is stored as a CSR matrix; a
     static kernel gives at most (atoms + end atoms) * 2^d entries per row.
+    Atom cells come from the locator of ``grid``, a zero store that holds the
+    layout, so an atom outside the model's regions raises
+    :class:`ExtrapolationError`.
     """
 
     def __init__(self, model: PdmpModel, axes: dict[int, tuple[np.ndarray, ...]],
                  n_t: int = 512):
+        if n_t < 2:
+            raise ModelParseError("n_t must be at least 2")
         self.model = model
         self.axes = axes
         self.n_t = n_t
-        self.mode_offsets: dict[int, int] = {}
-        self.mode_shapes: dict[int, tuple[int, ...]] = {}
-        offset = 0
-        for m in model.mode_ids:
-            shape = tuple(len(a) for a in axes[m])
-            self.mode_offsets[m] = offset
-            self.mode_shapes[m] = shape
-            offset += math.prod(shape)
-        self.size = offset
+        self.grid = FunctionStore(axes, {m: np.zeros([len(a) for a in axes[m]])
+                                         for m in model.mode_ids}, GridSpec.coverage(model))
+        sizes = [self.grid.values[m].size for m in model.mode_ids]
+        self.mode_offsets = dict(zip(model.mode_ids, np.cumsum([0] + sizes[:-1]).tolist()))
+        self.size = offset = sum(sizes)
         self.offset_vec = np.empty(offset)
         data, indices, counts = [], [], []
-        for start, geo in _node_profiles(model, axes, n_t):
+        for start, geo in self.node_profiles():
             for rows in geo.blocks():
                 running, *block = self._block_rows(geo, rows, *geo.quadrature(rows))
                 self.offset_vec[start + rows] = running
@@ -234,8 +220,18 @@ class GridOperator:
             shape=(offset, offset),
         )
 
+    def node_profiles(self):
+        """Global index of the first node and flow profile of consecutive
+        same-mode chunks of grid nodes, in global node order."""
+        size = chunk_rows(self.n_t)
+        for m in self.model.mode_ids:
+            nodes = _node_mesh(self.axes[m])
+            for lo in range(0, nodes.shape[0], size):
+                yield (self.mode_offsets[m] + lo,
+                       FlowProfile(self.model, m, nodes[lo:lo + size], self.n_t))
+
     def _cells(self, mode: int, pos: np.ndarray):
-        flat, coef = _cell_weights(self.axes[mode], pos)
+        flat, coef = self.grid.locate(mode, pos)
         return flat + self.mode_offsets[mode], coef
 
     def _block_rows(self, geo: FlowProfile, rows: np.ndarray, wq, pos, lam, damp, f):
@@ -287,12 +283,8 @@ class GridOperator:
         return float(np.asarray(self.matrix.sum(axis=1)).max(initial=0.0))
 
     def split(self, vec: np.ndarray) -> dict[int, np.ndarray]:
-        out = {}
-        for m in self.model.mode_ids:
-            off = self.mode_offsets[m]
-            size = int(np.prod(self.mode_shapes[m]))
-            out[m] = vec[off : off + size].reshape(self.mode_shapes[m])
-        return out
+        return {m: vec[off:off + self.grid.values[m].size].reshape(self.grid.values[m].shape)
+                for m, off in self.mode_offsets.items()}
 
     def to_store(self, vec: np.ndarray, coverage) -> FunctionStore:
         return FunctionStore(self.axes, self.split(vec), coverage)
@@ -392,81 +384,49 @@ class PolicyTable:
         array of positions in one mode; budget is one int or an (n,) int
         array, each at least 1.  Returns (wait, r, y_index) arrays.
 
-        The branch and the restart index are the nearest node's, the lowest
-        cell corner winning weight ties.  r interpolates over the corners on
-        that branch: the plain multilinear sum when all corners agree, the
-        stored r when the nearest node agrees alone, else the weights
-        renormalised over the agreeing corners.  Branch fields of every stage
-        are stacked into arrays on first use.
+        Cells and coverage are those of ``h``, which shares the table's axes
+        and coverage.  The branch and the restart index are the nearest
+        node's, the lowest cell corner winning weight ties.  r interpolates
+        over the corners on that branch: the plain multilinear sum when all
+        corners agree, the stored r when the nearest node agrees alone, else
+        the weights renormalised over the agreeing corners.  Branch fields of
+        every stage are stacked into arrays on first use.
         """
-        fields = self._arrays.get(mode)
-        if fields is None:
-            fields = self._arrays[mode] = self._stacked_arrays(mode)
-        axes, offsets, size, waits, rs, ys = fields
-        if zeta.ndim != 2 or zeta.shape[1] != len(axes):
-            raise ExtrapolationError(
-                f"queries of shape {zeta.shape} do not fit the table's {len(axes)} coordinates"
-            )
         budget = np.asarray(budget)
         if budget.size and not 1 <= budget.min() <= budget.max() <= len(self.stages):
             raise PolicyCoverageError(
                 f"budgets outside the table's stages 1..{len(self.stages)}"
             )
-        base = np.zeros(zeta.shape[0], np.int64) + (budget - 1) * size
-        coefs = [1.0]
-        for k, (axis, stride, last, z_lo, z_hi) in enumerate(axes):
-            z = zeta[:, k]
-            outside = ~((z_lo <= z) & (z <= z_hi))
-            if outside.any():
-                raise ExtrapolationError(
-                    f"query (mode={mode}, zeta={tuple(zeta[np.argmax(outside)])}) "
-                    "outside grid coverage"
-                )
-            i = np.minimum(np.maximum(np.searchsorted(axis, z, side="right") - 1, 0), last)
-            t = (z - axis[i]) / (axis[i + 1] - axis[i])
-            base += i * stride
-            coefs = [c * f for f in (1.0 - t, t) for c in coefs]
-        nearest = base + offsets[np.argmax(np.array(coefs), axis=0)]
+        flat, coef = self.h.locate(mode, zeta)
+        fields = self._arrays.get(mode)
+        if fields is None:
+            fields = self._arrays[mode] = self._stacked_arrays(mode)
+        size, waits, rs, ys = fields
+        flat += np.reshape((budget - 1) * size, (-1, 1))
+        nearest = flat[np.arange(flat.shape[0]), np.argmax(coef, axis=1)]
         wait = waits[nearest]
         total = weight = 0.0
         agreeing = 0
-        for offset, c in zip(offsets, coefs):
-            agree = waits[base + offset] == wait
-            total = np.where(agree, total + rs[base + offset] * c, total)
+        for corner, c in zip(flat.T, coef.T):
+            agree = waits[corner] == wait
+            total = np.where(agree, total + rs[corner] * c, total)
             weight = np.where(agree, weight + c, weight)
             agreeing = agreeing + agree
         r = total
         alone = agreeing == 1
         r[alone] = rs[nearest[alone]]
-        partial = ~alone & (agreeing < len(offsets))
+        partial = ~alone & (agreeing < coef.shape[1])
         r[partial] = total[partial] / weight[partial]
         return wait, r, ys[nearest]
 
-    def _cell_layout(self, mode: int):
-        """Per axis (grid, flat stride, last cell index, widened coverage
-        bounds), and the flat offsets of a cell's corners: the layout
-        :meth:`lookup_many` walks."""
-        if mode not in self.axes:
-            raise ExtrapolationError(f"mode {mode} not covered by the policy table")
-        axes = self.axes[mode]
-        lo, hi = _coverage_box(*self.coverage[mode])
-        strides = [math.prod(len(a) for a in axes[k + 1:]) for k in range(len(axes))]
-        offsets = [0]
-        for stride in strides:
-            offsets = offsets + [o + stride for o in offsets]
-        return list(zip(axes, strides, [len(a) - 2 for a in axes], lo, hi)), offsets
-
     def _stacked_arrays(self, mode: int):
-        """Branch fields of every stage concatenated, stage k at offset
-        (k - 1) times the mode's node count."""
-        axes, offsets = self._cell_layout(mode)
+        """The mode's node count and its branch fields of every stage
+        concatenated, stage k at offset (k - 1) times the node count."""
 
         def stacked(name):
             return np.concatenate([getattr(s, name)[mode].ravel() for s in self.stages])
 
-        size = math.prod(len(a) for a in self.axes[mode])
-        return (axes, np.asarray(offsets), size, stacked("wait"), stacked("r"),
-                stacked("y_index"))
+        return self.h.values[mode].size, stacked("wait"), stacked("r"), stacked("y_index")
 
 
 @dataclass(frozen=True)
@@ -512,7 +472,7 @@ def value_iterate(model: PdmpModel, h: FunctionStore, n_max: int, eps: float,
         wait_flags = np.empty(gop.size, dtype=bool)
         r_vec = np.empty(gop.size)
         y_vec = np.empty(gop.size, dtype=np.int64)
-        for start, profile in _node_profiles(model, h.axes, n_t):
+        for start, profile in gop.node_profiles():
             rows = slice(start, start + profile.size)
             wait_flags[rows], r_vec[rows], new_vec[rows], y_vec[rows] = _jump_or_intervene(
                 JCurve(profile, reloc, prev_store), wait_vec[rows], eps, time_tol_rel,

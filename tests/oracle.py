@@ -312,7 +312,17 @@ def lookup(table, mode: int, zeta, budget: int) -> tuple[bool, float, int]:
     nearest node agrees alone, else the weights renormalised over the
     agreeing corners.
     """
-    axes, offsets = table._cell_layout(mode)
+    if mode not in table.axes:
+        raise ExtrapolationError(f"mode {mode} not covered by the policy table")
+    grid = [axis.tolist() for axis in table.axes[mode]]
+    strides = [math.prod(len(a) for a in grid[k + 1:]) for k in range(len(grid))]
+    offsets = [0]
+    for stride in strides:
+        offsets = offsets + [o + stride for o in offsets]
+    lo, hi = table.coverage[mode]
+    slack = [1e-9 * max(1.0, b - a) for a, b in zip(lo, hi)]
+    axes = [(axis, stride, len(axis) - 2, a - s, b + s)
+            for axis, stride, a, b, s in zip(grid, strides, lo, hi, slack)]
     stage = table._stage(budget)
     waits = stage.wait[mode].ravel().tolist()
     rs = stage.r[mode].ravel().tolist()
@@ -328,7 +338,6 @@ def lookup(table, mode: int, zeta, budget: int) -> tuple[bool, float, int]:
             raise ExtrapolationError(
                 f"query (mode={mode}, zeta={tuple(zeta)}) outside grid coverage"
             )
-        axis = axis.tolist()
         i = bisect.bisect_right(axis, z) - 1
         if i < 0:
             i = 0

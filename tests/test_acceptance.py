@@ -24,6 +24,7 @@ from pdmp_impulse.controlled import (
 from pdmp_impulse.dynamics import (
     default_horizon,
     hit_time,
+    lockstep_costs,
     sample_sojourn,
     simulate_uncontrolled,
 )
@@ -63,20 +64,18 @@ def test_criterion_01_fixed_point_residual(rm1):
            f"compute time {build_seconds:.1f}s (< 60s)")
 
 
+CRITERION_02_STARTS = ((1, 2.0, 101), (2, 4.0, 102), (1, 7.0, 103))
+
+
 def test_criterion_02_no_impulse_cost_cross_oracle(rm1, rm1_h):
     t0 = time.monotonic()
     horizon = default_horizon(rm1)
     n = 100_000
     details = []
     ok = True
-    for mode, zeta, seed in ((1, 2.0, 101), (2, 4.0, 102), (1, 7.0, 103)):
+    for mode, zeta, seed in CRITERION_02_STARTS:
         x0 = as_state(mode, zeta)
-        costs = np.empty(n)
-        for rep in range(n):
-            rng = np.random.default_rng([seed, rep])
-            costs[rep] = simulate_uncontrolled(
-                rm1, x0, horizon, rng, collect_events=False
-            ).discounted_running_cost
+        costs = lockstep_costs(rm1, None, x0, 0, horizon, seed, n).running
         mean = float(costs.mean())
         se = float(costs.std(ddof=1) / math.sqrt(n))
         dev = abs(mean - rm1_h.eval(x0)) / se
@@ -85,6 +84,23 @@ def test_criterion_02_no_impulse_cost_cross_oracle(rm1, rm1_h):
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 120.0
     report(2, ok, "; ".join(details) + f"; {elapsed:.0f}s (< 120s)")
+
+
+def test_criterion_02_lockstep_costs_are_the_scalar_costs(rm1):
+    """Criterion 2 runs the lockstep engine; per replicate it gives the
+    scalar path's cost up to numpy's exp and log against the math
+    module's."""
+    horizon = default_horizon(rm1)
+    n = 3000
+    for mode, zeta, seed in CRITERION_02_STARTS:
+        x0 = as_state(mode, zeta)
+        batched = lockstep_costs(rm1, None, x0, 0, horizon, seed, n).running
+        scalar = np.array([
+            simulate_uncontrolled(rm1, x0, horizon, np.random.default_rng([seed, rep]),
+                                  collect_events=False).discounted_running_cost
+            for rep in range(n)
+        ])
+        assert np.all(np.abs(batched - scalar) <= 1e-15 * np.abs(scalar))
 
 
 def test_criterion_03_sandwich_bounds(rm1, rm1_h, rm1_table):

@@ -13,7 +13,7 @@ from pdmp_impulse.model import as_state
 from pdmp_impulse.operators import ConstantEvaluable, inf_J, op_Lscript
 from pdmp_impulse.valuefn import eval_Vk_exact
 
-from conftest import MODEL_PATH, rm1_doc
+from conftest import MODEL_PATH, planar_doc, rm1_doc
 
 
 def run_cli(*argv) -> int:
@@ -239,6 +239,28 @@ def test_report_bundles(cli_workspace):
     assert all(count >= 80 for count in per_group.values())
     assert (cli_workspace / "r_eps_map.csv").exists()
     assert (cli_workspace / "mc_hist.csv").exists()
+
+
+def test_report_histograms_near_constant_costs(tmp_path):
+    """Planar's budget-0 costs agree to a few ulps (constant running cost),
+    too narrow a spread for 40 bins; report still writes every group."""
+    model = tmp_path / "planar.json"
+    model.write_text(json.dumps(planar_doc()))
+    common = ("--model", model, "--out", tmp_path, "--x0", "1:3.0,4.0")
+    assert run_cli("compute-value", *common, "--grid", "12", "--nmax", "1") == 0
+    assert run_cli("simulate", *common, "--n0", "0,1", "--replicates", "200",
+                   "--dump-costs") == 0
+    with open(tmp_path / "costs_samples.csv") as fh:
+        flat = [float(r["cost"]) for r in csv.DictReader(fh) if r["N0"] == "0"]
+    assert 0 < max(flat) - min(flat) < 1e-12
+    assert run_cli("report", *common) == 0
+    with open(tmp_path / "mc_hist.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    for n0 in ("0", "1"):
+        group = [r for r in rows if r["N0"] == n0]
+        assert len(group) == 40
+        assert sum(int(r["count"]) for r in group) == 200
+        assert all(float(r["bin_lo"]) < float(r["bin_hi"]) for r in group)
 
 
 def test_report_j_profile_threshold_property(cli_workspace):

@@ -22,6 +22,7 @@ from pdmp_impulse.dynamics import (
     _runtime,
     default_horizon,
     hit_time,
+    lockstep_costs,
     simulate_uncontrolled,
 )
 from pdmp_impulse.errors import DomainError, PolicyCoverageError
@@ -354,6 +355,30 @@ def test_markov_check_rm1_budget_two(rm1, rm1_table):
     assert report.passed
     labels = [g.label for g in report.groups]
     assert any("natural-first" in label for label in labels)
+
+
+def test_markov_check_rm1_budget_three_second_intervention(rm1, rm1_table):
+    """A restart check that can fail: from (1, 2.0) at N0 = 3 both first
+    transitions (a natural jump, an intervention) leave budget 2, and the
+    shifted second intervention time varies within each group."""
+    x0, n0, seed, replicates = as_state(1, 2.0), 3, 9, 3000
+    report = check_intervention_markov(x0, n0, rm1_table, rm1,
+                                       replicates=replicates, seed=seed, i=2)
+    assert report.passed
+    assert len(report.groups) >= 2
+    costs = lockstep_costs(rm1, rm1_table, x0, n0, 0.0, seed, replicates)
+    first = costs.first
+    shifted = costs.tau[:, 1] - first["sojourn"]
+    labels = np.array([
+        f"{'intervention' if hit else 'natural'}-first->mode{mode},budget{budget}"
+        for hit, mode, budget in zip(first["intervened"].tolist(),
+                                     first["post_mode"].tolist(),
+                                     first["post_budget"].tolist())
+    ])
+    for group in report.groups:
+        sample = shifted[labels == group.label]
+        assert sample.size == group.n_observed
+        assert np.unique(sample).size > 1, group.label
 
 
 def test_markov_check_budget_one_second_intervention_never_happens(rm1, rm1_table):

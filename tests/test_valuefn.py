@@ -11,7 +11,7 @@ from pdmp_impulse.errors import (
     PolicyCoverageError,
     ResourceBudgetError,
 )
-from pdmp_impulse.model import as_state, load_model
+from pdmp_impulse.model import StatePoint, as_state, load_model
 from pdmp_impulse.operators import BRANCH_INTERVENE, BRANCH_WAIT, op_K
 from pdmp_impulse.valuefn import (
     BRANCH_NONE,
@@ -63,6 +63,24 @@ def test_function_store_interpolation():
         store.eval(as_state(1, 3.5))
     with pytest.raises(ExtrapolationError):
         store.eval(as_state(2, 1.0))
+
+
+def test_one_coverage_check_rejects_nan_with_plain_floats(rm1_table):
+    """Values and the policy share one coverage test: a NaN coordinate is
+    outside, and the message prints the query as plain floats."""
+    h = rm1_table.h
+    rows = np.array([[2.0], [math.nan]])
+    nan_query = r"query \(mode=1, zeta=\(nan,\)\) outside grid coverage"
+    with pytest.raises(ExtrapolationError, match=nan_query):
+        h.eval(StatePoint(1, (math.nan,)))
+    with pytest.raises(ExtrapolationError, match=nan_query):
+        h.eval_many(1, rows)
+    with pytest.raises(ExtrapolationError, match=nan_query):
+        rm1_table.lookup_many(1, rows, 1)
+    with pytest.raises(ExtrapolationError, match=r"zeta=\(11\.0,\)"):
+        rm1_table.lookup_many(1, np.array([[2.0], [11.0]]), np.array([1, 2]))
+    with pytest.raises(ExtrapolationError, match="mode 3 not covered"):
+        rm1_table.lookup_many(3, rows[:1], 1)
 
 
 def test_function_store_rejects_non_finite():

@@ -180,14 +180,17 @@ def cmd_simulate(args) -> int:
             est = estimate_cost_J(x0, n0, table, model,
                                   replicates=args.replicates, seed=args.seed)
             v_ref = table.value(n0, x0)
-            dev = abs(est.mean - v_ref) / est.std_error if est.std_error > 0 else 0.0
+            # A standard error within rounding of the mean measures no deviation.
+            measured = est.std_error > np.spacing(abs(est.mean))
+            dev = abs(est.mean - v_ref) / est.std_error if measured else math.nan
             rows.append([
                 _state_label(x0), n0, table.eps, args.replicates,
                 est.mean, est.std_error, est.ci95[0], est.ci95[1], v_ref, dev,
             ])
+            shown = f"{dev:.2f}" if measured else "n/a"
             print(
                 f"x0={_state_label(x0)} N0={n0}: mean={est.mean:.6f} "
-                f"se={est.std_error:.2e} V={v_ref:.6f} |dev|/se={dev:.2f}"
+                f"se={est.std_error:.2e} V={v_ref:.6f} |dev|/se={shown}"
             )
             if args.dump_costs:
                 sample_rows += [[_state_label(x0), n0, cost] for cost in est.totals.tolist()]

@@ -153,7 +153,7 @@ def aug_flow(model: PdmpModel, s, t: float, table: PolicyTable | None = None):
         return CEMETERY
     if t < 0:
         raise DomainError("flow time must be nonnegative")
-    ts = model.flow.hit_time(s.mode, s.zeta)
+    ts = model.flow.hit_fn[s.mode](s.zeta)
     cap = ts
     if table is not None:
         cap = min(cap, aug_hit_time(model, s, table))
@@ -167,7 +167,7 @@ def aug_hit_time(model: PdmpModel, s: AugmentedState, table: PolicyTable) -> flo
     """min(boundary-hit time, planned intervention time) at the state's point."""
     if s is CEMETERY:
         raise DomainError("hit time undefined at the cemetery state")
-    ts = model.flow.hit_time(s.mode, s.zeta)
+    ts = model.flow.hit_fn[s.mode](s.zeta)
     if s.budget == 0:
         return ts
     res = policy_query(table, s.project(), s.budget, model=model)
@@ -342,7 +342,7 @@ def check_joint_law(x0: StatePoint, n0: int, table: PolicyTable, model: PdmpMode
         raise DomainError("need at least 100 replicates")
     _check_start(model, x0.mode, x0.zeta)
     _check_budget(table, n0)
-    ts = model.flow.hit_time(x0.mode, x0.zeta)
+    ts = model.flow.hit_fn[x0.mode](x0.zeta)
     res = policy_query(table, x0, n0, model=model) if n0 > 0 else None
     r = res.r if res is not None else math.inf
     cap = min(ts, r)
@@ -361,9 +361,7 @@ def check_joint_law(x0: StatePoint, n0: int, table: PolicyTable, model: PdmpMode
     if cap > 0 and p_interior > 0:
         tgrid = np.linspace(0.0, cap, quad_points)
         s, wq = panel_nodes(tgrid)
-        pos = np.asarray(model.flow.position(x0.mode, np.asarray(x0.zeta), s))
-        if pos.ndim == 1:
-            pos = pos[None, :]
+        pos = model.flow.position(x0.mode, x0.zeta, s)
         lam_s = np.asarray(ipath.lam(s), dtype=float)
         haz = lam_s * np.exp(-np.asarray(ipath.cumulative(s), dtype=float))
         for rec in model.kernel.atom_records(x0.mode, pos):

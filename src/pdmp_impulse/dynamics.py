@@ -14,10 +14,12 @@ loop over position tuples (:func:`simulate_uncontrolled`, the controlled
 trajectories and single steps).  Every seeded batch, replicate r on
 ``default_rng([seed, r])``, runs :func:`lockstep_costs` over arrays: cost
 estimates and the law checks.  Both read the policy through
-:meth:`PolicyTable.lookup_many` and the kernel through
-:meth:`KernelRuntime.claim`.  The scalar loop stays for one path, where a
-one-replicate lockstep run measured 249 paths/s against its 6.7k (27x, rm1
-on a 2-vCPU host); it is also the lockstep engine's oracle.
+:meth:`PolicyTable.lookup_many` and each model fact from one source, indexed
+by :class:`_SimRuntime`: flow maps built from one set of formulas, constant
+rates and the static-kernel table; other kernels go through
+:meth:`KernelRuntime.claim`.  The scalar loop stays for one path,
+where a one-replicate lockstep run measured 249 paths/s against its 6.7k
+(27x, rm1 on a 2-vCPU host); it is also the lockstep engine's oracle.
 """
 
 from __future__ import annotations
@@ -102,22 +104,15 @@ class IntensityPath:
         self.mode = mode
         self.zeta = np.asarray(zeta, dtype=float)
         self.t_star = float(t_star)
-        expr = model.intensity[mode]
-        if expr.is_constant:
-            self.const = expr.constant_value()
-            self._cheb = None
-            self._integ = None
+        self.const = model.intensity[mode].constant
+        if self.const is not None:
             return
-        self.const = None
         if not np.isfinite(t_star):
             raise NumericalError("cannot tabulate intensity along an unbounded flow line")
         flow = model.flow
 
-        def lam_of(s):
-            pos = np.asarray(flow.position(mode, self.zeta, s))
-            if pos.ndim == 1:
-                pos = pos[None, :]
-            return model.intensity_along(mode, pos)
+        def lam_of(s: np.ndarray) -> np.ndarray:
+            return model.intensity_along(mode, flow.position(mode, self.zeta, s))
 
         span = max(t_star, 1e-12)
         probe = np.linspace(0.0, span, 101)
@@ -160,40 +155,19 @@ class IntensityPath:
 
 
 class _SimRuntime:
-    """Per-model scalar maps for the step core, in every dimension.
-
-    Holds the flow's hit and position closures, the intensity and running
-    cost per mode when they are constant (None otherwise), and for modes whose
-    kernel is one region-free entry of static atoms, the cumulative atom
-    probabilities with their targets.
-    """
+    """Per-model index, by mode, of the model facts that both simulators
+    read: the flow's scalar hit and position maps, the constant intensity and
+    running cost (None where they vary) and the static-kernel table.  It
+    derives none of them; it holds references, so that a step finds each in
+    one dictionary."""
 
     def __init__(self, model: PdmpModel):
         self.model = model
-        self.alpha = model.discount
         self.hit = model.flow.hit_fn
         self.position = model.flow.position_fn
-        self.lam_const = {
-            m: (e.constant_value() if e.is_constant else None)
-            for m, e in model.intensity.items()
-        }
-        self.f_const = {
-            m: (e.constant_value() if e.is_constant else None)
-            for m, e in model.costs.running.items()
-        }
-        self.static_kernel = {}
-        self.static_arrays = {}
-        for m in model.mode_ids:
-            atoms = model.kernel.static_atoms_for(m)
-            self.static_kernel[m] = None if atoms is None else (
-                list(accumulate(prob for _mode, _pos, prob in atoms)),
-                [(a_mode, a_pos, j) for j, (a_mode, a_pos, _prob) in enumerate(atoms)],
-            )
-            self.static_arrays[m] = None if atoms is None else (
-                np.asarray(self.static_kernel[m][0]),
-                np.array([a_mode for a_mode, _pos, _prob in atoms]),
-                np.array([a_pos for _mode, a_pos, _prob in atoms], dtype=float),
-            )
+        self.lam_const = {m: e.constant for m, e in model.intensity.items()}
+        self.f_const = {m: e.constant for m, e in model.costs.running.items()}
+        self.static = {m: model.kernel.static_atoms_for(m) for m in model.mode_ids}
 
     def sample_sojourn(self, mode: int, zeta, t_cap: float, u: float) -> tuple[float, bool]:
         """Inverse-CDF sojourn draw truncated at t_cap, with an atom at t_cap.
@@ -215,20 +189,20 @@ class _SimRuntime:
 
     def post_jump(self, mode: int, pre, u: float) -> tuple[int, tuple[float, ...], int]:
         """Post-jump mode, position and atom index of :func:`_draw_atoms` at
-        one pre-jump position."""
-        static = self.static_kernel[mode]
+        one pre-jump position, from the mode's static-kernel table when it
+        has one."""
+        static = self.static[mode]
         if static is None:
             post_mode, post_pos, atom = _draw_atoms(self.model.kernel, mode, np.array([pre]),
                                                     np.array([u]))
             return int(post_mode[0]), tuple(post_pos[0].tolist()), int(atom[0])
-        cdf, targets = static
-        j = bisect_right(cdf, u)
-        return targets[j] if j < len(targets) else targets[-1]
+        # Searching all but the last cumulative probability sends a uniform
+        # that rounding leaves above them all to the last atom.
+        return static.draws[bisect_right(static.cdf, u, 0, len(static.cdf) - 1)]
 
     def segment_integral(self, mode: int, zeta, seg: float) -> float:
         """Discounted running cost of one flow segment, by adaptive quadrature."""
-        alpha = self.alpha
-        model = self.model
+        alpha, model = self.model.discount, self.model
 
         def integrand(s):
             pos = np.asarray(model.flow.position(mode, zeta, s))
@@ -285,7 +259,7 @@ def hit_time(model: PdmpModel, x: StatePoint) -> float:
     """Exact time for the flow from x to reach the region boundary."""
     if not model.region(x.mode).contains_interior(x.zeta):
         raise DomainError(f"state {x} is not interior to its region")
-    return model.flow.hit_time(x.mode, x.zeta)
+    return model.flow.hit_fn[x.mode](x.zeta)
 
 
 def cumulative_intensity(model: PdmpModel, x: StatePoint, t: float) -> float:
@@ -294,9 +268,9 @@ def cumulative_intensity(model: PdmpModel, x: StatePoint, t: float) -> float:
     if t < 0 or t > ts + 1e-12 * max(1.0, ts):
         raise DomainError(f"time {t} outside [0, t*(x)] = [0, {ts}]")
     t = min(t, ts)
-    expr = model.intensity[x.mode]
-    if expr.is_constant:
-        return expr.constant_value() * t
+    lam = model.intensity[x.mode].constant
+    if lam is not None:
+        return lam * t
     if t == 0.0:
         return 0.0
 
@@ -392,7 +366,7 @@ def _run_path(model: PdmpModel, table, x0: StatePoint, budget: int, horizon: flo
     """
     _check_start(model, x0.mode, x0.zeta)
     rt = _runtime(model)
-    alpha, f_const = rt.alpha, rt.f_const
+    alpha, f_const = model.discount, rt.f_const
     mode, zeta = x0.mode, x0.zeta
     elapsed = running = fees = 0.0
     interventions: list[tuple] = []
@@ -571,8 +545,8 @@ def _lockstep_batch(rt: _SimRuntime, table, x0: StatePoint, n0: int, horizon: fl
                     streams: _Streams, reps: np.ndarray, out: ReplicateCosts) -> None:
     """Step the paths of replicates reps, drawing from streams, until each is
     past the horizon with its budget spent; write their outcomes into out."""
-    model, alpha = rt.model, rt.alpha
-    flow, costs = model.flow, model.costs
+    model = rt.model
+    alpha, flow, costs = model.discount, model.flow, model.costs
     n = reps.size
     mode = np.full(n, x0.mode)
     pos = np.tile(np.asarray(x0.zeta, dtype=float), (n, 1))
@@ -675,15 +649,15 @@ def _lockstep_batch(rt: _SimRuntime, table, x0: StatePoint, n0: int, horizon: fl
         index = y_idx.copy()
         for m, rows in groups:
             rows = rows[natural[rows]]
-            static = rt.static_arrays[m]
+            static = rt.static[m]
             if static is None:
                 post_mode[rows], post_pos[rows], index[rows] = _draw_atoms(
                     model.kernel, m, pre[rows], u_atom[rows])
                 continue
-            cdf, atom_mode, atom_pos = static
-            k = np.minimum(np.searchsorted(cdf, u_atom[rows], side="right"), cdf.size - 1)
-            post_mode[rows] = atom_mode[k]
-            post_pos[rows] = atom_pos[k]
+            k = np.minimum(np.searchsorted(static.cdf_array, u_atom[rows], side="right"),
+                           static.cdf_array.size - 1)
+            post_mode[rows] = static.modes[k]
+            post_pos[rows] = static.positions[k]
             index[rows] = k
         budget[natural] = np.maximum(budget[natural] - 1, 0)
         if not jumps:

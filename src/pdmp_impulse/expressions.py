@@ -73,6 +73,8 @@ def _check_node(node: ast.AST, variables: tuple[str, ...], where: str) -> set[st
             if not (isinstance(idx, ast.Constant) and isinstance(idx.value, int)):
                 raise ModelParseError(f"{where}: subscripts must be integer literals")
             used.add(sub.value.id)
+        elif isinstance(sub, ast.Constant) and not isinstance(sub.value, (int, float)):
+            raise ModelParseError(f"{where}: only numeric literals are allowed")
         elif isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Load):
             raise ModelParseError(f"{where}: assignment not allowed in expression")
         elif isinstance(sub, ast.Name):
@@ -89,27 +91,24 @@ class CompiledExpr:
     """A validated expression; call with a dict holding the declared variables.
 
     Array-valued variables broadcast through numpy, so one compiled expression
-    serves both point evaluation and whole-trajectory sweeps.
+    serves both point evaluation and whole-trajectory sweeps.  ``constant`` is
+    the value of an expression that reads no variable, None otherwise.
     """
 
     source: str
     variables: tuple[str, ...]
     used: frozenset[str]
     _code: Any = field(repr=False)
+    constant: float | None = field(default=None, init=False)
 
-    @property
-    def is_constant(self) -> bool:
-        return not self.used
+    def __post_init__(self):
+        if not self.used:
+            object.__setattr__(self, "constant", float(self({})))
 
     def __call__(self, env: dict[str, Any]):
         scope = dict(_CONSTANTS)
         scope.update(env)
         return eval(self._code, {"__builtins__": {}, **_FUNCTIONS}, scope)
-
-    def constant_value(self) -> float:
-        if not self.is_constant:
-            raise ValueError(f"expression {self.source!r} is not constant")
-        return float(self({}))
 
 
 def compile_expr(source, variables: tuple[str, ...], where: str) -> CompiledExpr:
@@ -124,9 +123,10 @@ def compile_expr(source, variables: tuple[str, ...], where: str) -> CompiledExpr
         raise ModelParseError(f"{where}: cannot parse expression: {exc.msg}") from None
     used = _check_node(tree, variables, where)
     code = compile(tree, filename=f"<{where}>", mode="eval")
-    expr = CompiledExpr(source=source, variables=variables, used=frozenset(used), _code=code)
-    if expr.is_constant:
-        value = expr({})
-        if not np.isfinite(value):
-            raise ModelParseError(f"{where}: expression evaluates to a non-finite constant")
+    try:
+        expr = CompiledExpr(source=source, variables=variables, used=frozenset(used), _code=code)
+    except (ArithmeticError, TypeError):
+        raise ModelParseError(f"{where}: constant expression is not a real number") from None
+    if expr.constant is not None and not math.isfinite(expr.constant):
+        raise ModelParseError(f"{where}: expression evaluates to a non-finite constant")
     return expr

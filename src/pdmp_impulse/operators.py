@@ -25,8 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .dynamics import IntensityPath, _check_start, hit_time
-from .errors import ModelParseError, NumericalError
+from .dynamics import IntensityPath, _check_start, _never_exits, hit_time
+from .errors import ModelParseError
 from .model import PdmpModel, StatePoint
 from .quadrature import GL_ORDER, interval_nodes, panel_cumulative, panel_nodes
 
@@ -157,18 +157,12 @@ class FlowProfile:
         self.zeta = zeta
         self.size = zeta.shape[0]
         self.alpha = model.discount
-        hit = model.flow.hit_fn[mode]
-        self.t_star = np.array([hit(z) for z in zeta.tolist()], dtype=float)
+        self.t_star = model.flow.hit_times(mode, zeta)
         unbounded = ~np.isfinite(self.t_star)
         if unbounded.any():
-            x = StatePoint(mode, tuple(zeta[int(np.argmax(unbounded))]))
-            raise NumericalError(
-                f"flow from {x} never reaches the boundary; bounded exit times "
-                "are required"
-            )
-        expr = model.intensity[mode]
-        self.lam_const = expr.constant_value() if expr.is_constant else None
-        self.ipaths = None if expr.is_constant else [
+            raise _never_exits(mode, zeta[int(np.argmax(unbounded))])
+        self.lam_const = model.intensity[mode].constant
+        self.ipaths = None if self.lam_const is not None else [
             IntensityPath(model, mode, z, t) for z, t in zip(zeta, self.t_star)
         ]
         # np.linspace(0, t*, n_t) for every state at once.
@@ -257,8 +251,7 @@ class JCurve:
         self.w = w
         static = profile.model.kernel.static_atoms_for(profile.mode)
         self.static_qw = None if static is None else float(sum(
-            prob * w.eval(StatePoint(a_mode, tuple(a_pos)))
-            for a_mode, a_pos, prob in static
+            prob * w.eval(StatePoint(a_mode, a_pos)) for a_mode, a_pos, prob in static.atoms
         ))
         self.cum = np.empty(profile.tgrid.shape)
         self.values = np.empty(profile.tgrid.shape)

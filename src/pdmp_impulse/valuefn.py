@@ -29,7 +29,7 @@ from .errors import (
     PolicyCoverageError,
     ResourceBudgetError,
 )
-from .model import PdmpModel, StatePoint
+from .model import PdmpModel, StatePoint, _node_mesh
 from .operators import (
     BRANCH_INTERVENE,
     BRANCH_WAIT,
@@ -72,12 +72,6 @@ def _coverage_box(lo, hi) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     slack = 1e-9 * np.maximum(1.0, hi - lo)
     return lo - slack, hi + slack
-
-
-def _node_mesh(axes: tuple[np.ndarray, ...]) -> np.ndarray:
-    """All nodes of one mode's grid as an (n, d) array, last axis fastest."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
 class FunctionStore:
@@ -151,9 +145,8 @@ class GridSpec:
             pinned[y.mode].append(np.asarray(y.zeta))
         for entry in model.kernel.entries:
             for atom in entry.atoms:
-                if atom.is_static:
-                    pos = atom.positions(np.zeros((1, model.dim)))[0]
-                    pinned[atom.mode].append(pos)
+                if atom.static_position is not None:
+                    pinned[atom.mode].append(np.asarray(atom.static_position))
         if self.extra_points:
             for m, pts in self.extra_points.items():
                 for p in pts:
@@ -249,8 +242,8 @@ class GridOperator:
         static = model.kernel.static_atoms_for(mode)
         if static is not None:
             total = jump.sum(axis=1)
-            for a_mode, a_pos, prob in static:
-                flat, coef = self._cells(a_mode, np.asarray(a_pos, dtype=float)[None, :])
+            for (a_mode, _pos, prob), a_pos in zip(static.atoms, static.positions):
+                flat, coef = self._cells(a_mode, a_pos[None, :])
                 nodes.append(np.repeat(np.arange(n), coef.shape[1]))
                 cols.append(np.tile(flat[0], n))
                 vals.append(((total * prob)[:, None] * coef).ravel())
@@ -504,7 +497,7 @@ def policy_query(table: PolicyTable, x: StatePoint, N: int,
     wait, r, y_idx = (a[0] for a in table.lookup_many(x.mode, np.array([x.zeta]), N))
     if wait:
         if model is not None:
-            r = model.flow.hit_time(x.mode, x.zeta)
+            r = model.flow.hit_fn[x.mode](x.zeta)
         return PolicyQueryResult(float(r), None, BRANCH_WAIT)
     return PolicyQueryResult(float(r), table.control_set[y_idx], BRANCH_INTERVENE)
 

@@ -8,8 +8,9 @@ implementation, unchanged, as an independent oracle: :class:`FlowProfile`,
 jump-or-intervention step and the exact budget-k recursion built on them.
 
 It also keeps the earlier one-point policy lookup (``lookup``, the corner
-rule of ``PolicyTable.lookup_many`` on plain lists) and kernel claim
-(``atoms_at``, the first entry whose closed box holds the point).
+rule of ``PolicyTable.lookup_many`` on plain lists), kernel claim
+(``atoms_at``, the first entry whose closed box holds the point) and
+static-kernel atom list (``static_atoms``).
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class FlowProfile:
         end = np.asarray(model.flow.position(x.mode, zeta, self.t_star))
         self.end_point = StatePoint(x.mode, tuple(float(v) for v in end))
         self.end_atoms = atoms_at(model, x.mode, end)
-        self.static_atoms = model.kernel.static_atoms_for(x.mode)
+        self.static_atoms = static_atoms(model, x.mode)
         if self.static_atoms is None:
             self.atom_records = model.kernel.atom_records(x.mode, self.pos)
         else:
@@ -376,3 +377,14 @@ def atoms_at(model: PdmpModel, mode: int, zeta) -> list[tuple[StatePoint, float]
     raise KernelCoverageError(
         f"no kernel entry covers pre-jump point (mode={mode}, zeta={tuple(zeta)})"
     )
+
+
+def static_atoms(model: PdmpModel, mode: int):
+    """(mode, position, probability) of the atoms of a mode whose kernel is
+    one region-free entry with no atom reading the pre-jump point, else None."""
+    entries = [e for e in model.kernel.entries if e.from_mode == mode]
+    if len(entries) != 1 or entries[0].region is not None or any(
+            e.used for a in entries[0].atoms for e in a.zeta_exprs):
+        return None
+    return [(point.mode, point.zeta, prob)
+            for point, prob in atoms_at(model, mode, (0.0,) * model.dim)]

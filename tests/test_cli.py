@@ -46,6 +46,16 @@ def test_validate_failure_exit_code(tmp_path):
     assert run_cli("validate", "--model", bad, "--out", tmp_path) == 2
 
 
+@pytest.mark.parametrize("density", ["0", "1", "-3"])
+def test_validate_rejects_grid_density_below_two(tmp_path, capsys, density):
+    out = tmp_path / "out"
+    assert run_cli("validate", "--model", MODEL_PATH, "--out", out,
+                   "--grid-density", density) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "grid density" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_missing_model_file_is_io_error(tmp_path):
     assert run_cli("validate", "--model", tmp_path / "nope.json",
                    "--out", tmp_path) == 1
@@ -261,6 +271,27 @@ def test_report_histograms_near_constant_costs(tmp_path):
         assert len(group) == 40
         assert sum(int(r["count"]) for r in group) == 200
         assert all(float(r["bin_lo"]) < float(r["bin_hi"]) for r in group)
+
+
+def test_deviation_is_not_measured_in_rounding_sized_errors(tmp_path, capsys):
+    """Planar's budget-0 costs agree to a few ulps, so their standard error is
+    rounding noise, while the mean sits 1e-6 below V (the horizon's tail):
+    |dev|/se is then nan in the report and n/a on stdout.  rm1's standard
+    errors are real and keep their numbers (see
+    test_simulate_report_rows_cover_reference_values)."""
+    model = tmp_path / "planar.json"
+    model.write_text(json.dumps(planar_doc()))
+    common = ("--model", model, "--out", tmp_path, "--x0", "1:3.0,4.0")
+    assert run_cli("compute-value", *common, "--grid", "12", "--nmax", "1") == 0
+    capsys.readouterr()
+    assert run_cli("simulate", *common, "--n0", "0", "--replicates", "200") == 0
+    [line] = [ln for ln in capsys.readouterr().out.splitlines() if "|dev|/se=" in ln]
+    with open(tmp_path / "cost_report.csv") as fh:
+        [row] = list(csv.DictReader(fh))
+    assert float(row["mean"]) != float(row["V_N0"])
+    assert float(row["se"]) <= np.spacing(abs(float(row["mean"])))
+    assert math.isnan(float(row["abs_dev_over_se"]))
+    assert line.endswith("|dev|/se=n/a")
 
 
 def test_report_j_profile_threshold_property(cli_workspace):

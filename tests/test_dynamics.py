@@ -6,6 +6,8 @@ import pytest
 from scipy import stats
 
 from pdmp_impulse.dynamics import (
+    _draw_atoms,
+    _runtime,
     cumulative_intensity,
     default_horizon,
     flow_at,
@@ -18,7 +20,7 @@ from pdmp_impulse.dynamics import (
 from pdmp_impulse.errors import DomainError, NumericalError
 from pdmp_impulse.model import as_state, load_model
 
-from conftest import rm1_doc
+from conftest import feature_model, rm1_doc
 
 
 # ---------------------------------------------------------------------------
@@ -329,3 +331,32 @@ def test_zero_intensity_flow_that_never_exits_fails_cleanly():
             simulate_uncontrolled(model, x0, 30.0, NoDraws())
         with pytest.raises(NumericalError, match="bounded exit times are required"):
             lockstep_costs(model, None, x0, 0, 30.0, 0, 4)
+
+
+@pytest.mark.parametrize("name", ["rm1", "exponential_decay"])
+def test_static_table_draws_as_the_kernel_claim(rm1, name):
+    """The scalar post-jump draw reads the static-kernel table, _draw_atoms
+    claims through the kernel entries; both take the first atom whose
+    cumulative probability exceeds u (bisect_right, side="right") and the
+    last atom when u is above them all."""
+    model = rm1 if name == "rm1" else feature_model(name)[0]
+    rt = _runtime(model)
+    modes = [m for m in model.mode_ids if model.kernel.static_atoms_for(m) is not None]
+    assert modes == [1, 2]
+    for mode in modes:
+        static = model.kernel.static_atoms_for(mode)
+        assert rt.static[mode] is static
+        pre = np.array([[3.0]])
+        last = len(static.cdf) - 1
+        cases = [(np.nextafter(static.cdf[-1], 2.0), last)]
+        for j, c in enumerate(static.cdf):
+            cases += [(np.nextafter(c, 0.0), j), (c, min(j + 1, last)),
+                      (np.nextafter(c, 2.0), min(j + 1, last))]
+        for u, want in cases:
+            post_mode, post_pos, atom = _draw_atoms(model.kernel, mode, pre, np.array([u]))
+            drawn = (int(post_mode[0]), tuple(post_pos[0].tolist()), int(atom[0]))
+            a_mode, a_pos, _prob = static.atoms[want]
+            assert rt.post_jump(mode, (3.0,), float(u)) == drawn == (a_mode, a_pos, want)
+    if name == "exponential_decay":
+        assert [p for _m, _z, p in model.kernel.static_atoms_for(1).atoms] == [0.4, 0.6]
+

@@ -9,18 +9,17 @@ from pdmp_impulse.expressions import compile_expr
 
 def test_constant_detection():
     e = compile_expr("0.5", ("zeta",), "test")
-    assert e.is_constant
-    assert e.constant_value() == 0.5
+    assert e.constant == 0.5
 
 
 def test_bare_number_accepted():
     e = compile_expr(2, ("zeta",), "test")
-    assert e.constant_value() == 2.0
+    assert e.constant == 2.0
 
 
 def test_variable_expression():
     e = compile_expr("1.0 + 0.5*zeta[0]", ("zeta",), "test")
-    assert not e.is_constant
+    assert e.constant is None
     assert e({"zeta": [3.0]}) == 2.5
 
 
@@ -50,6 +49,12 @@ def test_disallowed_syntax_rejected():
             compile_expr(bad, ("zeta",), "test")
 
 
+@pytest.mark.parametrize("source", ["'0.5'", "0.5 + 0*zeta[0]*'a'", "1j", "None"])
+def test_non_numeric_literal_rejected(source):
+    with pytest.raises(ModelParseError, match="only numeric literals"):
+        compile_expr(source, ("zeta",), "test")
+
+
 def test_non_integer_subscript_rejected():
     with pytest.raises(ModelParseError, match="integer literals"):
         compile_expr("zeta[zeta[0]]", ("zeta",), "test")
@@ -58,3 +63,14 @@ def test_non_integer_subscript_rejected():
 def test_parse_error_names_location():
     with pytest.raises(ModelParseError, match="intensity"):
         compile_expr("1.0 +", ("zeta",), "intensity[1]")
+
+
+@pytest.mark.parametrize("source", ["(-1)**0.5", "1/0", "10.0**400", "exp(1, 2)"])
+def test_constant_that_is_not_a_real_number_rejected(source):
+    with pytest.raises(ModelParseError, match=r"intensity\[1\].*not a real number"):
+        compile_expr(source, ("zeta",), "intensity[1]")
+
+
+def test_non_finite_constant_rejected():
+    with pytest.raises(ModelParseError, match="non-finite"), np.errstate(divide="ignore"):
+        compile_expr("log(0)", ("zeta",), "intensity[1]")

@@ -12,7 +12,7 @@ from pdmp_impulse.errors import (
 )
 from pdmp_impulse.model import as_state, load_model, validate_model
 
-from conftest import rm1_doc
+from conftest import planar_doc, rm1_doc
 
 
 def test_load_rm1_echoes_declared_fields(rm1):
@@ -171,8 +171,9 @@ def test_mode_labels_preserved(rm1):
 
 
 def test_static_atoms_helper(rm1):
-    atoms = rm1.kernel.static_atoms_for(1)
-    assert atoms == [(2, (5.0,), 1.0)]
+    table = rm1.kernel.static_atoms_for(1)
+    assert table.atoms == [(2, (5.0,), 1.0)]
+    assert rm1.kernel.static_atoms_for(1) is table
     doc = rm1_doc()
     doc["kernel"][0]["atoms"][0]["zeta"] = ["zeta[0]*0.5 + 1.0"]
     model = load_model(doc)
@@ -199,3 +200,47 @@ def test_as_state_normalizes():
 def test_validate_rejects_a_negative_seed(rm1):
     with pytest.raises(DomainError, match="seed"):
         validate_model(rm1, grid_density=10, rng_seed=-1)
+
+
+FLOW_PARAMS = {
+    "constant-drift": {"velocity": [-1.0, 0.5]},
+    "linear-decay-to-target": {"target": [-1.0, 3.0], "rate": [1.0, 2.0]},
+    "exponential-decay-to-target": {"target": [-2.0, 12.0], "rate": [0.4, 0.3]},
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("family", list(FLOW_PARAMS))
+def test_scalar_and_array_flow_maps_agree(family, dim):
+    """hit_fn/position_fn on tuples against hit_times/position on arrays.
+
+    Drift and linear decay run the same arithmetic in both forms, to the bit.
+    Exponential decay uses math.exp/math.log against numpy's, so positions
+    may differ by rounding scaled with |zeta - target|, and t* by 2 ulp."""
+    doc = planar_doc()
+    bounds = [[0.0, 4.0], [0.0, 6.0]][:dim]
+    doc["modes"][0]["bounds"] = bounds
+    params = {k: v[:dim] for k, v in FLOW_PARAMS[family].items()}
+    doc["flow"] = {"family": family, "params": {"1": params}}
+    doc["kernel"][0]["atoms"][0]["zeta"] = ["2.0", "3.0"][:dim]
+    for y in doc["control_set"]:
+        y["zeta"] = y["zeta"][:dim]
+    flow = load_model(doc).flow
+    rng = np.random.default_rng(11)
+    lo, hi = np.array(bounds).T
+    zeta = lo + rng.random((2000, dim)) * (hi - lo)
+    t = 6.0 * rng.random(2000)
+    hits = flow.hit_times(1, zeta)
+    moved = flow.position(1, zeta, t)
+    scalar_hits = np.array([flow.hit_fn[1](z) for z in map(tuple, zeta.tolist())])
+    scalar_moved = np.array([flow.position_fn[1](tuple(z), s)
+                             for z, s in zip(zeta.tolist(), t.tolist())])
+    assert np.isfinite(hits).all()
+    if family == "exponential-decay-to-target":
+        scale = np.maximum(1.0, np.abs(zeta - params["target"]))
+        assert np.all(np.abs(scalar_moved - moved) <= 1e-15 * scale)
+        assert np.all(np.abs(scalar_hits - hits) <= 2 * np.spacing(hits))
+    else:
+        assert np.array_equal(scalar_moved.view(np.uint64), moved.view(np.uint64))
+        assert np.array_equal(scalar_hits.view(np.uint64), hits.view(np.uint64))
+

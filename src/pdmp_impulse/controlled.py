@@ -10,12 +10,12 @@ Natural jumps draw from the kernel and also decrement the budget while it is
 positive.  Classification never compares sampled reals for equality: the
 sojourn sampler returns the truncation flag.
 
-A single path on a caller's Generator (:func:`simulate_controlled`,
-:func:`aug_step`) runs the scalar step core and path loop of :mod:`.dynamics`.
-Every seeded batch runs in lockstep (:func:`.dynamics.lockstep_costs`): cost
-estimates, and the law checks, at horizon 0, on the first jump and the
-intervention times that the engine records per replicate.  Both ask
-:meth:`PolicyTable.lookup_many` for the policy.
+One path on a caller's Generator (:func:`simulate_controlled`, :func:`aug_step`)
+runs the scalar step core of :mod:`.dynamics`; every seeded batch runs in
+lockstep (:func:`.dynamics.lockstep_costs`): cost estimates, and the law checks
+at horizon 0 on the first jump and intervention times.  Both read the policy
+from :meth:`PolicyTable.lookup_many`; they and the analytic first-jump law
+integrate along flows by the one panel rule of :mod:`.dynamics`.
 """
 
 from __future__ import annotations
@@ -29,17 +29,17 @@ from scipy.stats import ks_2samp
 from .dynamics import (
     INTERVENTION,
     NATURAL,
-    IntensityPath,
     _check_start,
     _raw_step,
     _run_path,
     _runtime,
     default_horizon,
+    flow_cumulative,
     lockstep_costs,
 )
 from .errors import DomainError, PolicyCoverageError
 from .model import PdmpModel, StatePoint
-from .quadrature import panel_cumulative, panel_nodes
+from .quadrature import panel_nodes
 from .valuefn import PolicyTable, policy_query
 
 KS_CRIT_1PCT = math.sqrt(-0.5 * math.log(0.005))  # two-sided 1% coefficient
@@ -320,12 +320,16 @@ class LawReport:
         return max((abs(r.std_dev) for r in self.rows), default=0.0)
 
 
-def _std_dev(observed_count: int, n: int, p: float) -> float:
+def _law_stat(name: str, p: float, count: int, n: int) -> LawStat:
+    """Count of n observed against probability p, with the deviation in
+    binomial standard errors."""
     if p <= 0.0:
-        return 0.0 if observed_count == 0 else math.inf
-    if p >= 1.0:
-        return 0.0 if observed_count == n else math.inf
-    return (observed_count - n * p) / math.sqrt(n * p * (1.0 - p))
+        dev = 0.0 if count == 0 else math.inf
+    elif p >= 1.0:
+        dev = 0.0 if count == n else math.inf
+    else:
+        dev = (count - n * p) / math.sqrt(n * p * (1.0 - p))
+    return LawStat(name, p, count / n, count, dev)
 
 
 def check_joint_law(x0: StatePoint, n0: int, table: PolicyTable, model: PdmpModel,
@@ -343,11 +347,10 @@ def check_joint_law(x0: StatePoint, n0: int, table: PolicyTable, model: PdmpMode
     _check_start(model, x0.mode, x0.zeta)
     _check_budget(table, n0)
     ts = model.flow.hit_fn[x0.mode](x0.zeta)
-    res = policy_query(table, x0, n0, model=model) if n0 > 0 else None
-    r = res.r if res is not None else math.inf
+    r = policy_query(table, x0, n0, model=model).r if n0 > 0 else math.inf
     cap = min(ts, r)
-    ipath = IntensityPath(model, x0.mode, np.asarray(x0.zeta), ts)
-    lam_cap = float(ipath.cumulative(cap)) if cap > 0 else 0.0
+    zeta = np.array([x0.zeta], dtype=float)
+    lam_cap = float(flow_cumulative(model, x0.mode, zeta, np.array([cap]), check=True)[0])
     boundary_mass = math.exp(-lam_cap)
     p_interior = 1.0 - boundary_mass
     is_intervention_cap = r < ts
@@ -357,21 +360,15 @@ def check_joint_law(x0: StatePoint, n0: int, table: PolicyTable, model: PdmpMode
     # Analytic interior atom mix: hazard-weighted kernel probabilities.
     # Atom identity is the index within the matched entry, as sampled.
     atom_probs_interior: dict[int, float] = {}
-    n_atoms = 0
     if cap > 0 and p_interior > 0:
-        tgrid = np.linspace(0.0, cap, quad_points)
-        s, wq = panel_nodes(tgrid)
+        s, wq = panel_nodes(np.linspace(0.0, cap, quad_points))
         pos = model.flow.position(x0.mode, x0.zeta, s)
-        lam_s = np.asarray(ipath.lam(s), dtype=float)
-        haz = lam_s * np.exp(-np.asarray(ipath.cumulative(s), dtype=float))
+        haz = wq * model.intensity_along(x0.mode, pos) * np.exp(
+            -flow_cumulative(model, x0.mode, zeta, s))
         for rec in model.kernel.atom_records(x0.mode, pos):
-            weights = np.zeros(s.size)
-            weights[rec.indices] = rec.prob
-            mass = panel_cumulative(haz * weights, wq)[-1]
-            atom_probs_interior[rec.atom] = (
-                atom_probs_interior.get(rec.atom, 0.0) + float(mass) / p_interior
-            )
-        n_atoms = len(atom_probs_interior)
+            mass = float(rec.prob * haz[rec.indices].sum()) / p_interior
+            atom_probs_interior[rec.atom] = atom_probs_interior.get(rec.atom, 0.0) + mass
+    n_atoms = len(atom_probs_interior)
     end = np.asarray(model.flow.position(x0.mode, np.asarray(x0.zeta), ts))
     boundary_probs = [rec.prob for rec in model.kernel.atom_records(x0.mode, end[None, :])]
 
@@ -383,29 +380,15 @@ def check_joint_law(x0: StatePoint, n0: int, table: PolicyTable, model: PdmpMode
     interior_atom_counts = np.bincount(first["index"][~first["cap_hit"]], minlength=n_atoms)
     boundary_atom_counts = np.bincount(first["index"][boundary], minlength=len(boundary_probs))
 
-    rows = [
-        LawStat("interior_jump", p_interior, interior_count / replicates,
-                interior_count, _std_dev(interior_count, replicates, p_interior)),
-        LawStat("boundary_natural_jump", p_boundary_nat,
-                boundary_count / replicates, boundary_count,
-                _std_dev(boundary_count, replicates, p_boundary_nat)),
-        LawStat("intervention", p_intervention, interv_count / replicates,
-                interv_count, _std_dev(interv_count, replicates, p_intervention)),
-    ]
-    for j, p in atom_probs_interior.items():
-        c = int(interior_atom_counts[j])
-        if interior_count > 0:
-            rows.append(
-                LawStat(f"interior_atom_{j}", p, c / interior_count, c,
-                        _std_dev(c, interior_count, p))
-            )
+    rows = [_law_stat("interior_jump", p_interior, interior_count, replicates),
+            _law_stat("boundary_natural_jump", p_boundary_nat, boundary_count, replicates),
+            _law_stat("intervention", p_intervention, interv_count, replicates)]
+    if interior_count > 0:
+        rows += [_law_stat(f"interior_atom_{j}", p, int(interior_atom_counts[j]), interior_count)
+                 for j, p in atom_probs_interior.items()]
     if boundary_count > 0:
-        for j, prob in enumerate(boundary_probs):
-            c = int(boundary_atom_counts[j])
-            rows.append(
-                LawStat(f"boundary_atom_{j}", prob, c / boundary_count, c,
-                        _std_dev(c, boundary_count, prob))
-            )
+        rows += [_law_stat(f"boundary_atom_{j}", p, int(boundary_atom_counts[j]), boundary_count)
+                 for j, p in enumerate(boundary_probs)]
     return LawReport(tuple(rows), replicates)
 
 
@@ -491,34 +474,18 @@ def check_intervention_markov(x0: StatePoint, n0: int, table: PolicyTable,
         return _tau(fresh, index).tolist()
 
     salt = 1
-    for key, sample in sorted(natural_groups.items()):
-        if len(sample) < min_group:
-            continue
-        fresh = fresh_taus(key, len(sample), i, salt)
-        salt += 1
-        stat, crit = _ks_against_fresh(sample, fresh)
-        results.append(
-            MarkovGroupResult(
-                label=f"natural-first->mode{key[0]},budget{key[2]}",
-                n_observed=len(sample), n_fresh=len(fresh),
-                ks_statistic=stat, ks_critical_1pct=crit,
-            )
-        )
-    for key, sample in sorted(interv_groups.items()):
-        if len(sample) < min_group:
-            continue
-        if i == 1:
-            # tau_1 - r is identically zero after a first-jump intervention.
-            fresh = [0.0] * len(sample)
-        else:
-            fresh = fresh_taus(key, len(sample), i - 1, salt)
-            salt += 1
-        stat, crit = _ks_against_fresh(sample, fresh)
-        results.append(
-            MarkovGroupResult(
-                label=f"intervention-first->mode{key[0]},budget{key[2]}",
-                n_observed=len(sample), n_fresh=len(fresh),
-                ks_statistic=stat, ks_critical_1pct=crit,
-            )
-        )
+    for kind, groups in (("natural", natural_groups), ("intervention", interv_groups)):
+        for key, sample in sorted(groups.items()):
+            if len(sample) < min_group:
+                continue
+            if kind == "intervention" and i == 1:
+                # tau_1 - r is identically zero after a first-jump intervention.
+                fresh = [0.0] * len(sample)
+            else:
+                fresh = fresh_taus(key, len(sample), i if kind == "natural" else i - 1, salt)
+                salt += 1
+            stat, crit = _ks_against_fresh(sample, fresh)
+            results.append(MarkovGroupResult(
+                label=f"{kind}-first->mode{key[0]},budget{key[2]}", n_observed=len(sample),
+                n_fresh=len(fresh), ks_statistic=stat, ks_critical_1pct=crit))
     return MarkovCheckReport(tuple(results), i, replicates)

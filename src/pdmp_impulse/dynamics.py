@@ -1,11 +1,13 @@
 """Flow evaluation, jump-time sampling and the one simulation loop.
 
-The sojourn law combines a continuous hazard part (inverse-CDF via the
-cumulative intensity along the flow) with an atom at the truncation cap.
-Intensities that are constant along the flow get closed-form handling; smooth
-non-constant intensities are integrated through a Chebyshev fit of the
-intensity along the flow, with adaptive quadrature backing the one-off
-operations.
+The sojourn law has a hazard part, sampled by inverting the cumulative
+intensity Lambda along the flow, and an atom at the truncation cap.  Every
+integral along a flow that the solver and both engines need runs one rule,
+the Gauss-Legendre panels of :mod:`.quadrature` over rows of same-mode
+positions: Lambda (:func:`flow_cumulative`), its inverse by safeguarded
+Newton steps (:func:`flow_sojourns`) and the discounted running cost
+(:func:`flow_running_cost`).  Constant rates keep their closed forms.
+:func:`cumulative_intensity` stays adaptive quadrature, as an oracle.
 
 Two engines simulate the budget-augmented process (mode, position, budget,
 clock) in every dimension; the uncontrolled process is that process at
@@ -33,10 +35,10 @@ from itertools import accumulate
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import DomainError, NumericalError, PolicyCoverageError
 from .model import PdmpModel, StatePoint
+from .quadrature import panel_cumulative, panel_nodes
 from .streams import entropy_key, fill_block, seed_states
 
 MAX_JUMPS = 1_000_000
@@ -90,68 +92,78 @@ def default_horizon(model: PdmpModel, tail_tol: float = 1e-6) -> float:
     return max(1.0, math.log(c_f / (model.discount * tail_tol)) / model.discount)
 
 
-class IntensityPath:
-    """Jump intensity along the flow started at one state.
+FLOW_PANELS = 8
+"""Uniform Gauss-Legendre panels on [0, t] for every integral along a flow
+segment: the cumulative intensity, its inverse and the running cost."""
 
-    Offers vectorized intensity and cumulative-intensity evaluation plus the
-    inverse map needed for sojourn sampling.  A constant intensity is handled
-    in closed form; otherwise the intensity along the flow is fit with a
-    Chebyshev series (escalating degree) whose antiderivative gives the
-    cumulative intensity.
-    """
 
-    def __init__(self, model: PdmpModel, mode: int, zeta, t_star: float):
-        self.mode = mode
-        self.zeta = np.asarray(zeta, dtype=float)
-        self.t_star = float(t_star)
-        self.const = model.intensity[mode].constant
-        if self.const is not None:
-            return
-        if not np.isfinite(t_star):
-            raise NumericalError("cannot tabulate intensity along an unbounded flow line")
-        flow = model.flow
+def _panel_integral(model: PdmpModel, mode: int, zeta: np.ndarray, t: np.ndarray,
+                    integrand, panels: int = FLOW_PANELS) -> np.ndarray:
+    """Integral of integrand(s, pos) over [0, t] along the flows from rows of
+    same-mode positions zeta (n, d), or from one row, for each t (n,).  A
+    row's value depends on that row alone."""
+    s, w = panel_nodes(t[:, None] * np.linspace(0.0, 1.0, panels + 1))
+    pos = model.flow.position(mode, zeta[:, None, :], s).reshape(-1, zeta.shape[1])
+    return panel_cumulative(integrand(s.ravel(), pos).reshape(s.shape), w)[:, -1]
 
-        def lam_of(s: np.ndarray) -> np.ndarray:
-            return model.intensity_along(mode, flow.position(mode, self.zeta, s))
 
-        span = max(t_star, 1e-12)
-        probe = np.linspace(0.0, span, 101)
-        target = lam_of(probe)
-        scale = 1.0 + float(np.max(np.abs(target)))
-        fit = None
-        for deg in (16, 32, 64, 128):
-            nodes = np.cos(np.pi * np.arange(deg + 1) / deg)  # Chebyshev extrema
-            xs = 0.5 * span * (nodes + 1.0)
-            cand = np.polynomial.chebyshev.Chebyshev.fit(
-                xs, lam_of(xs), deg, domain=[0.0, span]
-            )
-            if float(np.max(np.abs(cand(probe) - target))) <= 1e-12 * scale:
-                fit = cand
-                break
-        if fit is None:
-            raise NumericalError(
-                "intensity is not smooth enough along the flow for series integration"
-            )
-        self._cheb = fit
-        self._integ = fit.integ(lbnd=0.0)
+def flow_cumulative(model: PdmpModel, mode: int, zeta: np.ndarray, t: np.ndarray,
+                    panels: int = FLOW_PANELS, check: bool = False) -> np.ndarray:
+    """Cumulative intensity Lambda(t) along the flows from rows zeta.  With
+    check, twice the panels must agree to 1e-12, which an intensity with a
+    kink along the flow fails."""
+    lam = model.intensity[mode].constant
+    if lam is not None:
+        return lam * t
+    if check and not np.isfinite(t).all():
+        raise NumericalError("cannot integrate the intensity along an unbounded flow line")
+    total = _panel_integral(model, mode, zeta, t,
+                            lambda s, pos: model.intensity_along(mode, pos), panels)
+    if check and not np.allclose(total, flow_cumulative(model, mode, zeta, t, 2 * panels),
+                                 rtol=1e-12, atol=1e-12):
+        raise NumericalError("intensity is not smooth enough along the flow for panel integration")
+    return total
 
-    def lam(self, s):
-        if self.const is not None:
-            return np.full_like(np.asarray(s, dtype=float), self.const)
-        return self._cheb(np.asarray(s, dtype=float))
 
-    def cumulative(self, s):
-        if self.const is not None:
-            return self.const * np.asarray(s, dtype=float)
-        return self._integ(np.asarray(s, dtype=float))
+def flow_running_cost(model: PdmpModel, mode: int, zeta: np.ndarray,
+                      t: np.ndarray) -> np.ndarray:
+    """Discounted running cost over [0, t] along the flows from rows zeta."""
+    alpha, running = model.discount, model.costs.running_along
+    return _panel_integral(model, mode, zeta, t,
+                           lambda s, pos: np.exp(-alpha * s) * running(mode, pos))
 
-    def invert(self, target: float, t_cap: float) -> float:
-        """Smallest s with cumulative(s) == target, bracketed on [0, t_cap]."""
-        if self.const is not None:
-            return target / self.const
-        return float(
-            brentq(lambda t: float(self._integ(t)) - target, 0.0, t_cap, xtol=1e-12)
-        )
+
+def flow_sojourns(model: PdmpModel, mode: int, zeta: np.ndarray, cap: np.ndarray,
+                  u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-CDF sojourns for uniforms u along the flows from rows zeta,
+    truncated at cap > 0 with the atom exp(-Lambda(cap)) on cap (flagged).
+    Lambda(s) = -log u is solved in closed form for a constant intensity,
+    else by Newton steps (the intensity is the derivative) kept inside a
+    bisection bracket, rows in lockstep, to brentq's 1e-12 + 4 eps s."""
+    total = flow_cumulative(model, mode, zeta, cap, check=True)
+    hit = u < np.exp(-total)
+    rows = np.flatnonzero(~hit)
+    target = -np.log(u[rows])
+    sojourn = cap.copy()
+    lam = model.intensity[mode].constant
+    if lam is not None:
+        sojourn[rows] = target / lam
+        return sojourn, hit
+    lo, hi = np.zeros(rows.size), cap[rows]
+    s = hi * (target / total[rows])
+    act = np.arange(rows.size)
+    while act.size:
+        z, x = zeta[rows[act]], s[act]
+        excess = flow_cumulative(model, mode, z, x) - target[act]
+        lo[act] = np.where(excess < 0.0, x, lo[act])
+        hi[act] = np.where(excess < 0.0, hi[act], x)
+        rate = model.intensity_along(mode, model.flow.position(mode, z, x))
+        new = x - np.divide(excess, rate, out=np.full(act.size, np.inf), where=rate > 0.0)
+        new = np.where((new >= lo[act]) & (new <= hi[act]), new, 0.5 * (lo[act] + hi[act]))
+        s[act] = new
+        act = act[np.minimum(np.abs(new - x), hi[act] - lo[act]) > 1e-12 + 8.9e-16 * new]
+    sojourn[rows] = s
+    return sojourn, hit
 
 
 class _SimRuntime:
@@ -170,11 +182,8 @@ class _SimRuntime:
         self.static = {m: model.kernel.static_atoms_for(m) for m in model.mode_ids}
 
     def sample_sojourn(self, mode: int, zeta, t_cap: float, u: float) -> tuple[float, bool]:
-        """Inverse-CDF sojourn draw truncated at t_cap, with an atom at t_cap.
-
-        Survival is exp(-Lambda(t)) for t < t_cap; the remaining mass
-        exp(-Lambda(t_cap)) sits on t_cap itself and is flagged.
-        """
+        """One sojourn of :func:`flow_sojourns`, truncated at t_cap >= 0; a
+        constant intensity keeps its closed form on the math module."""
         if t_cap <= 0.0:
             return 0.0, True
         lam = self.lam_const[mode]
@@ -182,10 +191,9 @@ class _SimRuntime:
             if u < math.exp(-lam * t_cap):
                 return t_cap, True
             return -math.log(u) / lam, False
-        ipath = IntensityPath(self.model, mode, zeta, t_cap)
-        if u < math.exp(-float(ipath.cumulative(t_cap))):
-            return t_cap, True
-        return ipath.invert(-math.log(u), t_cap), False
+        sojourn, hit = flow_sojourns(self.model, mode, np.array([zeta], dtype=float),
+                                     np.array([t_cap]), np.array([u]))
+        return float(sojourn[0]), bool(hit[0])
 
     def post_jump(self, mode: int, pre, u: float) -> tuple[int, tuple[float, ...], int]:
         """Post-jump mode, position and atom index of :func:`_draw_atoms` at
@@ -199,17 +207,6 @@ class _SimRuntime:
         # Searching all but the last cumulative probability sends a uniform
         # that rounding leaves above them all to the last atom.
         return static.draws[bisect_right(static.cdf, u, 0, len(static.cdf) - 1)]
-
-    def segment_integral(self, mode: int, zeta, seg: float) -> float:
-        """Discounted running cost of one flow segment, by adaptive quadrature."""
-        alpha, model = self.model.discount, self.model
-
-        def integrand(s):
-            pos = np.asarray(model.flow.position(mode, zeta, s))
-            return math.exp(-alpha * s) * model.costs.running_at(mode, pos)
-
-        value, _err = quad(integrand, 0.0, seg, epsabs=1e-12, epsrel=1e-10, limit=200)
-        return value
 
 
 def _draw_atoms(kernel, mode: int, pre: np.ndarray, u: np.ndarray):
@@ -357,7 +354,8 @@ def _run_path(model: PdmpModel, table, x0: StatePoint, budget: int, horizon: flo
     """The path loop of the budget-augmented process, started at clock 0.
 
     Running cost accrues up to the horizon (tail-truncation rule), exactly
-    for mode-wise constant running cost and by adaptive quadrature otherwise.
+    for mode-wise constant running cost and by :func:`flow_running_cost`
+    otherwise.
     Intervention fees are never truncated, so stepping continues past the
     horizon until the budget is spent.  Returns (running cost, discounted
     fees, interventions, events); both lists hold (jump time, pre-jump mode,
@@ -380,7 +378,8 @@ def _run_path(model: PdmpModel, table, x0: StatePoint, budget: int, horizon: flo
         f0 = f_const[mode]
         if f0 is None:
             if seg > 0.0:
-                running += math.exp(-alpha * elapsed) * rt.segment_integral(mode, zeta, seg)
+                running += math.exp(-alpha * elapsed) * float(flow_running_cost(
+                    model, mode, np.array([zeta], dtype=float), np.array([seg]))[0])
         elif f0 != 0.0 and seg > 0.0:
             running += math.exp(-alpha * elapsed) * f0 * (1.0 - math.exp(-alpha * seg)) / alpha
         if kind == INTERVENTION:
@@ -526,8 +525,7 @@ def lockstep_costs(model: PdmpModel, table, x0: StatePoint, budget: int, horizon
     single-path loop in the same order (the sojourn, then the atom on a
     natural jump) with the same arithmetic, so it takes the same jumps and
     interventions and its costs agree to a few ulp (numpy's exp and log
-    against the math module's).  Rows whose mode has a non-constant
-    intensity or running cost take those parts from the scalar code.
+    against the math module's).
     """
     _check_start(model, x0.mode, x0.zeta)
     rt = _runtime(model)
@@ -578,30 +576,17 @@ def _lockstep_batch(rt: _SimRuntime, table, x0: StatePoint, n0: int, horizon: fl
                     cap[rows] = r
                     y_idx[rows] = y
 
-        for m, rows in groups:
-            if rt.lam_const[m] == 0.0 and np.isinf(cap[rows]).any():
-                j = rows[np.argmax(np.isinf(cap[rows]))]
-                raise _never_exits(m, pos[j].tolist())
-
         # Sojourn truncated at the cap, as _SimRuntime.sample_sojourn.
         u = streams.draw(np.arange(n))
         sojourn = np.zeros(n)
         cap_hit = cap <= 0.0
-        for m, rows in groups:
-            rows = rows[~cap_hit[rows]]
-            lam = rt.lam_const[m]
-            if lam is None:
-                for j in rows.tolist():
-                    sojourn[j], cap_hit[j] = rt.sample_sojourn(
-                        m, tuple(pos[j].tolist()), float(cap[j]), float(u[j]))
-                continue
-            hit = u[rows] < np.exp(-lam * cap[rows])
-            sojourn[rows[hit]] = cap[rows[hit]]
-            cap_hit[rows[hit]] = True
-            rows = rows[~hit]
-            sojourn[rows] = -np.log(u[rows]) / lam
         pre = np.empty_like(pos)
         for m, rows in groups:
+            if rt.lam_const[m] == 0.0 and np.isinf(cap[rows]).any():
+                j = rows[np.argmax(np.isinf(cap[rows]))]
+                raise _never_exits(m, pos[j].tolist())
+            live = rows[~cap_hit[rows]]
+            sojourn[live], cap_hit[live] = flow_sojourns(model, m, pos[live], cap[live], u[live])
             pre[rows] = flow.position(m, pos[rows], sojourn[rows])
 
         # Running cost up to the horizon, as _run_path.
@@ -611,9 +596,8 @@ def _lockstep_batch(rt: _SimRuntime, table, x0: StatePoint, n0: int, horizon: fl
             rows = rows[seg[rows] > 0.0]
             f0 = rt.f_const[m]
             if f0 is None:
-                for j in rows.tolist():
-                    running[j] += math.exp(-alpha * elapsed[j]) * rt.segment_integral(
-                        m, tuple(pos[j].tolist()), float(seg[j]))
+                running[rows] += np.exp(-alpha * elapsed[rows]) * flow_running_cost(
+                    model, m, pos[rows], seg[rows])
             elif f0 != 0.0:
                 running[rows] += (np.exp(-alpha * elapsed[rows]) * f0
                                   * (1.0 - np.exp(-alpha * seg[rows])) / alpha)

@@ -6,14 +6,16 @@ natural jump, J the value of scheduling an intervention at a chosen time, M
 the best immediate relocation over the finite control set, and the
 script-L composition performs the single-jump-or-intervention minimization.
 
-One-off F, K and J calls use adaptive quadrature (relative tolerance 1e-10).
-The jump-or-intervene curve has one implementation, batched over states:
-:class:`FlowProfile` holds the geometry along the flows from same-mode states
-on uniform time grids, :class:`JCurve` the intervention-value curves on them,
-and :class:`CurveMinimum` refines each infimum by golden-section search and
-bisects for the eps-threshold time, in lockstep over the curves.  The grid
-solver runs it over chunks of grid nodes; :func:`inf_J` and
-:func:`op_Lscript` over one state.
+The jump-or-intervene curve has one implementation, batched over states, on
+the one Gauss-Legendre panel rule along flows: :class:`FlowProfile` holds the
+geometry along the flows from same-mode states on uniform time grids, with
+the cumulative intensity integrated panel by panel, :class:`JCurve` the
+intervention-value curves on them, and :class:`CurveMinimum` refines each
+infimum by golden-section search and bisects for the eps-threshold time, in
+lockstep over the curves.  The grid solver runs it over chunks of grid nodes;
+:func:`inf_J` and :func:`op_Lscript` over one state.  The one-off
+:func:`op_F`, :func:`op_K` and :func:`op_J` stay adaptive quadrature
+(relative tolerance 1e-10), as oracles.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .dynamics import IntensityPath, _check_start, _never_exits, hit_time
+from .dynamics import _check_start, _never_exits, cumulative_intensity, flow_cumulative, hit_time
 from .errors import ModelParseError
 from .model import PdmpModel, StatePoint
 from .quadrature import GL_ORDER, interval_nodes, panel_cumulative, panel_nodes
@@ -162,24 +164,28 @@ class FlowProfile:
         if unbounded.any():
             raise _never_exits(mode, zeta[int(np.argmax(unbounded))])
         self.lam_const = model.intensity[mode].constant
-        self.ipaths = None if self.lam_const is not None else [
-            IntensityPath(model, mode, z, t) for z, t in zip(zeta, self.t_star)
-        ]
         # np.linspace(0, t*, n_t) for every state at once.
         self.step = self.t_star / (n_t - 1)
         self.tgrid = np.arange(n_t) * self.step[:, None]
         self.tgrid[:, -1] = self.t_star
         self.block = chunk_rows((n_t - 1) * GL_ORDER)
+        if self.lam_const is None:
+            flow_cumulative(model, mode, zeta, self.t_star, check=True)
+            self.cum_grid = np.empty(self.tgrid.shape)
+            for rows in self.blocks():
+                s, wq = panel_nodes(self.tgrid[rows])
+                self.cum_grid[rows] = panel_cumulative(self.lam_at(self.flow(s, rows)), wq)
 
     def blocks(self):
         """State indices of consecutive blocks for :meth:`quadrature`."""
         for lo in range(0, self.size, self.block):
             yield np.arange(lo, min(lo + self.block, self.size))
 
-    def quadrature(self, rows: np.ndarray):
-        """Panel weights, flow positions, intensity, damping and running cost
-        at the Gauss-Legendre panel nodes of states ``rows``."""
-        s, wq = panel_nodes(self.tgrid[rows])
+    def quadrature(self, rows: np.ndarray, nodes=None):
+        """Weights, flow positions, intensity, damping and running cost at
+        Gauss-Legendre nodes along the flows of states ``rows``: their grids'
+        panel nodes, or the given (nodes, weights)."""
+        s, wq = panel_nodes(self.tgrid[rows]) if nodes is None else nodes
         pos = self.flow(s, rows)
         lam, cum = self.intensity(rows, s)
         damp = np.exp(-self.alpha * s - cum)
@@ -214,15 +220,20 @@ class FlowProfile:
 
     def intensity(self, rows: np.ndarray, t: np.ndarray):
         """Intensity and cumulative intensity along the flows of ``rows`` at
-        times t (one time or one row of times per state)."""
-        if self.ipaths is None:
+        times t (one time or one row of times per state); the cumulative
+        intensity is the grid value left of t plus the Gauss-Legendre
+        integral from there."""
+        if self.lam_const is not None:
             return self.lam_const, self.lam_const * t
-        lam = np.empty_like(t)
-        cum = np.empty_like(t)
-        for k, i in enumerate(rows):
-            lam[k] = self.ipaths[i].lam(t[k])
-            cum[k] = self.ipaths[i].cumulative(t[k])
-        return lam, cum
+        each = np.broadcast_to(rows.reshape(-1, *(1,) * (t.ndim - 1)), t.shape).ravel()
+        left = self.left_index(each, t.ravel())
+        s, wq = interval_nodes(self.tgrid[each, left], t.ravel())
+        cum = self.cum_grid[each, left] + (wq * self.lam_at(self.flow(s, each))).sum(axis=1)
+        return self.lam_at(self.flow(t, rows)), cum.reshape(t.shape)
+
+    def lam_at(self, pos: np.ndarray) -> np.ndarray:
+        flat = pos.reshape(-1, pos.shape[-1])
+        return self.model.intensity_along(self.mode, flat).reshape(pos.shape[:-1])
 
     def running(self, pos: np.ndarray) -> np.ndarray:
         flat = pos.reshape(-1, pos.shape[-1])
@@ -305,11 +316,8 @@ class JCurve:
         if inner.any():
             rows, t = rows[inner], t[inner]
             left = p.left_index(rows, t)
-            s, wq = interval_nodes(p.tgrid[rows, left], t)
-            lam, cum = p.intensity(rows, s)
-            damp = np.exp(-p.alpha * s - cum)
-            pos = p.flow(s, rows)
-            partial = (wq * damp * (p.running(pos) + lam * self.kernel_average(pos))).sum(axis=1)
+            wq, pos, lam, damp, f = p.quadrature(rows, interval_nodes(p.tgrid[rows, left], t))
+            partial = (wq * damp * (f + lam * self.kernel_average(pos))).sum(axis=1)
             out[inner] = (self.cum[rows, left] + partial
                           + p.damping(rows, t) * self.v_at(p.flow(t, rows)))
         return out
@@ -428,16 +436,18 @@ class CurveMinimum:
 # Operator evaluations
 
 
-def _flow_integral(model: PdmpModel, x: StatePoint, t_star: float, cap: float,
-                   w=None):
+def _flow_integral(model: PdmpModel, x: StatePoint, cap: float, w=None):
     """Adaptive quadrature over [0, cap] of the damped running cost along the
     flow from x, plus the jump term lam * Qw when a cost-to-go w is given;
-    returns the integral and the damping s -> exp(-alpha*s - Lambda(s))."""
-    ipath = IntensityPath(model, x.mode, np.asarray(x.zeta), t_star)
+    returns the integral and the damping s -> exp(-alpha*s - Lambda(s)),
+    Lambda in closed form for a constant intensity, else by
+    :func:`cumulative_intensity`."""
     zeta = np.asarray(x.zeta)
+    lam_const = model.intensity[x.mode].constant
 
     def damp(s: float) -> float:
-        return math.exp(-model.discount * s - float(ipath.cumulative(s)))
+        cum = lam_const * s if lam_const is not None else cumulative_intensity(model, x, s)
+        return math.exp(-model.discount * s - cum)
 
     def integrand(s):
         pos = np.asarray(model.flow.position(x.mode, zeta, s))
@@ -460,7 +470,7 @@ def op_F(model: PdmpModel, x: StatePoint, t: float) -> float:
     if t < 0:
         raise ModelParseError("t must be nonnegative")
     ts = hit_time(model, x)
-    return float(_flow_integral(model, x, ts, min(t, ts))[0])
+    return float(_flow_integral(model, x, min(t, ts))[0])
 
 
 def op_Qw(model: PdmpModel, w, pre: StatePoint) -> float:
@@ -474,7 +484,7 @@ def op_Qw(model: PdmpModel, w, pre: StatePoint) -> float:
 def op_K(model: PdmpModel, w, x: StatePoint) -> float:
     """Value of waiting for the natural jump, carrying cost-to-go w."""
     ts = hit_time(model, x)
-    inner, damp = _flow_integral(model, x, ts, ts, w)
+    inner, damp = _flow_integral(model, x, ts, w)
     end = np.asarray(model.flow.position(x.mode, np.asarray(x.zeta), ts))
     end_point = StatePoint(x.mode, tuple(float(z) for z in end))
     return float(inner + damp(ts) * op_Qw(model, w, end_point))
@@ -494,7 +504,7 @@ def op_J(model: PdmpModel, v, w, x: StatePoint, t: float) -> float:
         raise ModelParseError("t must be nonnegative")
     ts = hit_time(model, x)
     cap = min(t, ts)
-    inner, damp = _flow_integral(model, x, ts, cap, w)
+    inner, damp = _flow_integral(model, x, cap, w)
     stop = np.asarray(model.flow.position(x.mode, np.asarray(x.zeta), cap))
     stop_point = StatePoint(x.mode, tuple(float(z) for z in stop))
     return float(inner + damp(cap) * v.eval(stop_point))

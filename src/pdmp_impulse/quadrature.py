@@ -18,19 +18,15 @@ def panel_nodes(tgrid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     With ``s, w = panel_nodes(tgrid)``, the integral of f over
     ``[tgrid[0], tgrid[k]]`` is ``(w * f(s))[: k * GL_ORDER].sum()``.
     """
-    a = tgrid[..., :-1]
-    b = tgrid[..., 1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    rows = tgrid.shape[:-1] + (-1,)
-    s = (mid[..., None] + half[..., None] * _GL_X).reshape(rows)
-    w = (half[..., None] * _GL_W).reshape(rows)
-    return s, w
+    s, w = interval_nodes(tgrid[..., :-1], tgrid[..., 1:])
+    rows = tgrid.shape[:-1] + ((tgrid.shape[-1] - 1) * GL_ORDER,)
+    return s.reshape(rows), w.reshape(rows)
 
 
 def panel_cumulative(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Cumulative integrals at panel boundaries; index 0 holds 0."""
-    contrib = (values * weights).reshape(values.shape[:-1] + (-1, GL_ORDER)).sum(axis=-1)
+    panels = values.shape[:-1] + (values.shape[-1] // GL_ORDER, GL_ORDER)
+    contrib = (values * weights).reshape(panels).sum(axis=-1)
     out = np.empty(contrib.shape[:-1] + (contrib.shape[-1] + 1,))
     out[..., 0] = 0.0
     np.cumsum(contrib, axis=-1, out=out[..., 1:])

@@ -89,6 +89,10 @@ def feature_model(name):
     elif name == "zero_intensity":
         doc["intensity"] = {"1": "0.0", "2": "0.0"}
         doc["intensity_bound"] = 0.0
+    elif name == "nonconstant_running":
+        # Not a recursion feature of its own: a running cost that varies
+        # along the flow, for the Monte Carlo engines.
+        doc["costs"]["running"] = {"1": "0.1*zeta[0]", "2": "5.0"}
     else:
         assert name == "rm1"
     return load_model(doc), density

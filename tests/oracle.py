@@ -2,10 +2,17 @@
 
 The package runs the jump-or-intervene curve batched over states
 (``pdmp_impulse.operators``).  This module keeps the earlier per-state
-implementation, unchanged, as an independent oracle: :class:`FlowProfile`,
+implementation as the batching reference: :class:`FlowProfile`,
 :class:`JCurve`, the scalar golden-section and bisection searches and
 ``_inf_from_curve``.  ``lscript`` and ``exact_value`` are the single
 jump-or-intervention step and the exact budget-k recursion built on them.
+
+:class:`FlowProfile` is not a reference for the cumulative intensity: it
+integrates it by the package's one Gauss-Legendre panel rule, one state at a
+time (the grid value left of t plus the integral from there), so that batched
+and per-state results agree exactly.  The independent references for the
+integrals along flows are adaptive quadrature: ``cumulative_intensity`` and
+the one-off ``op_F``, ``op_K`` and ``op_J`` of the package.
 
 It also keeps the earlier one-point policy lookup (``lookup``, the corner
 rule of ``PolicyTable.lookup_many`` on plain lists), kernel claim
@@ -21,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from pdmp_impulse.dynamics import IntensityPath, hit_time
+from pdmp_impulse.dynamics import hit_time
 from pdmp_impulse.errors import ExtrapolationError, KernelCoverageError, NumericalError
 from pdmp_impulse.model import AtomRecord, PdmpModel, StatePoint
 from pdmp_impulse.operators import (
@@ -57,24 +64,22 @@ class FlowProfile:
                 "are required"
             )
         self.n_t = n_t
-        zeta = np.asarray(x.zeta, dtype=float)
-        self.ipath = IntensityPath(model, x.mode, zeta, self.t_star)
+        self.zeta = np.asarray(x.zeta, dtype=float)
+        self.lam_const = model.intensity[x.mode].constant
         self.tgrid = np.linspace(0.0, self.t_star, n_t)
         s, wq = panel_nodes(self.tgrid)
         self.s = s
         self.wq = wq
-        pos = np.asarray(model.flow.position(x.mode, zeta, s))
+        pos = np.asarray(model.flow.position(x.mode, self.zeta, s))
         self.pos = pos if pos.ndim == 2 else pos[None, :]
-        lam_s = np.asarray(self.ipath.lam(s), dtype=float)
-        cum_s = np.asarray(self.ipath.cumulative(s), dtype=float)
-        self.lam_s = lam_s
-        self.damp_s = np.exp(-self.alpha * s - cum_s)
+        self.lam_s = self.lam_along(s)
+        self.cum_grid = panel_cumulative(self.lam_s, wq)
+        self.damp_s = np.exp(-self.alpha * s - self.cumulative(s))
         self.f_s = model.costs.running_along(x.mode, self.pos)
-        cum_grid = np.asarray(self.ipath.cumulative(self.tgrid), dtype=float)
-        self.damp_grid = np.exp(-self.alpha * self.tgrid - cum_grid)
-        self.pos_grid = np.asarray(model.flow.position(x.mode, zeta, self.tgrid))
+        self.damp_grid = np.exp(-self.alpha * self.tgrid - self.cumulative(self.tgrid))
+        self.pos_grid = np.asarray(model.flow.position(x.mode, self.zeta, self.tgrid))
         self.running_grid = panel_cumulative(self.damp_s * self.f_s, wq)
-        end = np.asarray(model.flow.position(x.mode, zeta, self.t_star))
+        end = np.asarray(model.flow.position(x.mode, self.zeta, self.t_star))
         self.end_point = StatePoint(x.mode, tuple(float(v) for v in end))
         self.end_atoms = atoms_at(model, x.mode, end)
         self.static_atoms = static_atoms(model, x.mode)
@@ -93,6 +98,22 @@ class FlowProfile:
             ]
 
     # -- building blocks -------------------------------------------------
+
+    def lam_along(self, s):
+        """Intensity at the flow positions after times s."""
+        pos = np.asarray(self.model.flow.position(self.x.mode, self.zeta, s))
+        flat = pos.reshape(-1, pos.shape[-1])
+        return self.model.intensity_along(self.x.mode, flat).reshape(pos.shape[:-1])
+
+    def cumulative(self, t):
+        """Lambda at times t by the package's panel rule: lam * t for a
+        constant intensity, else the grid value left of t plus the
+        Gauss-Legendre integral from there."""
+        if self.lam_const is not None:
+            return self.lam_const * t
+        left = np.searchsorted(self.tgrid, t, side="right") - 1
+        s, w = interval_nodes(self.tgrid[left], t)
+        return self.cum_grid[left] + (w * self.lam_along(s)).sum(axis=-1)
 
     def _static_qw(self, w) -> float:
         return float(
@@ -128,7 +149,7 @@ class FlowProfile:
         return out
 
     def damp_at(self, t: float) -> float:
-        return math.exp(-self.alpha * t - float(self.ipath.cumulative(t)))
+        return math.exp(-self.alpha * t - float(self.cumulative(t)))
 
     def wait_value(self, w) -> float:
         """Expected discounted cost carrying w past the next natural jump."""
@@ -173,9 +194,8 @@ class JCurve:
         base = self._cum[left]
         s_mini, w_mini = interval_nodes(float(p.tgrid[left]), t)
         pos = np.asarray(p.model.flow.position(p.x.mode, np.asarray(p.x.zeta), s_mini))
-        lam = np.asarray(p.ipath.lam(s_mini), dtype=float)
-        cum = np.asarray(p.ipath.cumulative(s_mini), dtype=float)
-        damp = np.exp(-p.alpha * s_mini - cum)
+        lam = p.lam_along(s_mini)
+        damp = np.exp(-p.alpha * s_mini - p.cumulative(s_mini))
         f_vals = p.model.costs.running_along(p.x.mode, pos)
         if self._static_qw is not None:
             qw = self._static_qw

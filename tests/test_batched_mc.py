@@ -20,7 +20,7 @@ from pdmp_impulse.cli import main
 from pdmp_impulse.controlled import estimate_cost_J, simulate_controlled
 from pdmp_impulse.dynamics import default_horizon, lockstep_costs
 from pdmp_impulse.errors import NumericalError
-from pdmp_impulse.model import StatePoint, load_model
+from pdmp_impulse.model import StatePoint
 from pdmp_impulse.valuefn import (
     FunctionStore,
     GridSpec,
@@ -32,17 +32,11 @@ from pdmp_impulse.valuefn import (
 )
 
 import oracle
-from conftest import FEATURE_MODELS, MODEL_PATH, feature_model, rm1_doc
+from conftest import FEATURE_MODELS, MODEL_PATH, feature_model
 
 EPS = 0.01
 N_T = 64
 REL_TOL = 1e-12
-
-
-def _nonconstant_running_model():
-    doc = rm1_doc()
-    doc["costs"]["running"] = {"1": "0.1*zeta[0]", "2": "5.0"}
-    return load_model(doc), 30
 
 
 def _start(model):
@@ -57,10 +51,7 @@ def solved():
 
     def get(name):
         if name not in cache:
-            if name == "nonconstant_running":
-                model, density = _nonconstant_running_model()
-            else:
-                model, density = feature_model(name)
+            model, density = feature_model(name)
             x0 = _start(model)
             spec = GridSpec(density=density, extra_points={x0.mode: (x0.zeta,)})
             h = compute_h(model, spec, tol=1e-9, n_t=N_T)
@@ -87,18 +78,11 @@ def test_rm1_replicates_match_single_paths(rm1, rm1_table, n0):
         assert_matches_single_paths(rm1, rm1_table, x0, n0, seed, 300)
 
 
-# Scalar rows (non-constant intensity or running cost, state-dependent or
-# region-split kernels) cost a quadrature or a series fit per step in both
-# engines, so those models run fewer replicates.
-REPLICATES = {"planar_intervening": 60, "affine_intensity_region_split_kernel": 60,
-              "nonconstant_running": 60}
-
-
 @pytest.mark.parametrize("name", FEATURE_MODELS[1:] + ["nonconstant_running"])
 def test_feature_model_replicates_match_single_paths(solved, name):
     model, table, x0 = solved(name)
     for n0 in (0, 1, 2):
-        assert_matches_single_paths(model, table, x0, n0, 40 + n0, REPLICATES.get(name, 200))
+        assert_matches_single_paths(model, table, x0, n0, 40 + n0, 200)
 
 
 def test_interventions_happen_in_the_differential_models(solved, rm1, rm1_table):

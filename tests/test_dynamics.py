@@ -1,16 +1,23 @@
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.integrate import quad
 
+from pdmp_impulse.cli import main
+from pdmp_impulse.controlled import estimate_cost_J
 from pdmp_impulse.dynamics import (
     _draw_atoms,
     _runtime,
     cumulative_intensity,
     default_horizon,
     flow_at,
+    flow_cumulative,
+    flow_running_cost,
+    flow_sojourns,
     hit_time,
     lockstep_costs,
     sample_post_jump,
@@ -19,6 +26,9 @@ from pdmp_impulse.dynamics import (
 )
 from pdmp_impulse.errors import DomainError, NumericalError
 from pdmp_impulse.model import as_state, load_model
+from pdmp_impulse.operators import state_profile
+from pdmp_impulse.quadrature import GL_ORDER, panel_cumulative, panel_nodes
+from pdmp_impulse.valuefn import GridSpec, compute_h
 
 from conftest import feature_model, rm1_doc
 
@@ -149,6 +159,25 @@ def test_cumulative_intensity_affine_closed_form():
     assert got == pytest.approx(hand, rel=1e-10)
 
 
+def test_kinked_intensity_is_rejected(rm1_table, tmp_path):
+    """An intensity with a kink along the flow is refused by the sojourn
+    sampler, the solver, the Monte Carlo estimate and the CLI (exit 3)."""
+    doc = rm1_doc()
+    doc["intensity"] = {"1": "0.1 + 0.1*abs(zeta[0] - 5.0)", "2": "1.0"}
+    model = load_model(doc)
+    x = as_state(1, 7.3)
+    with pytest.raises(NumericalError, match="not smooth"):
+        sample_sojourn(model, x, 0.9)
+    with pytest.raises(NumericalError, match="not smooth"):
+        compute_h(model, GridSpec(density=20), n_t=64)
+    with pytest.raises(NumericalError, match="not smooth"):
+        estimate_cost_J(x, 0, rm1_table, model, replicates=10, seed=0)
+    path = tmp_path / "kinked.json"
+    path.write_text(json.dumps(doc))
+    assert main(["compute-value", "--model", str(path), "--out", str(tmp_path),
+                 "--grid", "20", "--nmax", "1"]) == 3
+
+
 def test_sojourn_inversion_consistency_nonconstant_rate():
     model = affine_intensity_model()
     x = as_state(1, 6.0)
@@ -156,6 +185,62 @@ def test_sojourn_inversion_consistency_nonconstant_rate():
         s, hit = sample_sojourn(model, x, u)
         assert not hit
         assert cumulative_intensity(model, x, s) == pytest.approx(-math.log(u), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Integrals along the flow: the Gauss-Legendre panel rule against adaptive
+# quadrature
+
+
+def _quad_segment(model, x, length):
+    def integrand(s):
+        pos = np.asarray(model.flow.position(x.mode, np.asarray(x.zeta), s))
+        return math.exp(-model.discount * s) * model.costs.running_at(x.mode, pos)
+
+    return quad(integrand, 0.0, length, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+
+
+@pytest.mark.parametrize("name", ["planar_intervening", "affine_intensity_region_split_kernel",
+                                  "nonconstant_running"])
+def test_panel_rule_matches_adaptive_quadrature(name):
+    model, _density = feature_model(name)
+    for mode in model.mode_ids:
+        region = model.region(mode)
+        lo, hi = np.asarray(region.lower), np.asarray(region.upper)
+        for frac in (0.23, 0.61, 0.94):
+            x = as_state(mode, tuple(lo + frac * (hi - lo)))
+            zeta = np.array([x.zeta])
+            ts = hit_time(model, x)
+            for t in (0.3 * ts, 0.7 * ts, ts):
+                want = cumulative_intensity(model, x, t)
+                got = flow_cumulative(model, mode, zeta, np.array([t]))[0]
+                assert abs(got - want) <= 1e-12 * abs(want), (x, t)
+                want = _quad_segment(model, x, t)
+                got = flow_running_cost(model, mode, zeta, np.array([t]))[0]
+                assert abs(got - want) <= 1e-12 * abs(want), (x, t)
+            u = np.array([0.95, 0.7, 0.4, 0.1])
+            s, hit = flow_sojourns(model, mode, np.repeat(zeta, u.size, axis=0),
+                                   np.full(u.size, ts), u)
+            for s_k, u_k in zip(s[~hit], u[~hit]):
+                residual = cumulative_intensity(model, x, s_k) + math.log(u_k)
+                assert abs(residual) <= 1e-12 * max(1.0, ts), (x, u_k)
+            profile = state_profile(model, x, 33)
+            nodes = panel_nodes(profile.tgrid)[0][:, ::7]
+            cum = profile.intensity(np.arange(1), nodes)[1]
+            for t, got in zip(nodes[0], cum[0]):
+                want = cumulative_intensity(model, x, t)
+                assert abs(got - want) <= 1e-12 * abs(want), (x, t)
+
+
+def test_panel_quadrature_takes_zero_rows():
+    s, w = panel_nodes(np.empty((0, 5)))
+    assert s.shape == w.shape == (0, 4 * GL_ORDER)
+    assert panel_cumulative(s, w).shape == (0, 5)
+    model = affine_intensity_model()
+    none = np.empty(0)
+    sojourn, hit = flow_sojourns(model, 1, np.empty((0, 1)), none, none)
+    assert sojourn.shape == hit.shape == (0,)
+    assert flow_running_cost(model, 1, np.empty((0, 1)), none).shape == (0,)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .model import StatePoint, load_model, validate_model
 from .operators import BRANCH_INTERVENE, BRANCH_WAIT, JCurve, MinRelocationValue, state_profile
-from .valuefn import GridSpec, check_eps, compute_h, value_iterate
+from .valuefn import GridSpec, check_positive, compute_h, value_iterate
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -117,7 +117,7 @@ def _parse_starts(model, args) -> list[StatePoint]:
 def cmd_compute_value(args) -> int:
     model = _load_model_file(args.model)
     starts = _parse_starts(model, args)
-    check_eps(args.eps)
+    check_positive(args.eps, "eps")
     if args.nmax < 1:
         raise ModelParseError(f"--nmax must be at least 1, got {args.nmax}")
     spec = _grid_spec_from_args(args, starts)

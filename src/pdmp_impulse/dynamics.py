@@ -86,6 +86,8 @@ class PathRecord:
 
 def default_horizon(model: PdmpModel, tail_tol: float = 1e-6) -> float:
     """Simulation horizon leaving a discounted running-cost tail below tail_tol."""
+    if not (math.isfinite(tail_tol) and tail_tol > 0):
+        raise DomainError(f"tail_tol must be positive and finite; got {tail_tol!r}")
     c_f = model.costs.running_bound
     if c_f <= 0:
         return 1.0
@@ -273,7 +275,7 @@ def cumulative_intensity(model: PdmpModel, x: StatePoint, t: float) -> float:
 
     def integrand(s):
         pos = np.asarray(model.flow.position(x.mode, x.zeta, s))
-        return model.intensity_at(x.mode, pos)
+        return model.intensity_along(x.mode, pos[None, :])[0]
 
     value, _err = quad(integrand, 0.0, t, epsabs=1e-14, epsrel=1e-10, limit=200)
     return float(value)
@@ -305,6 +307,12 @@ def _check_start(model: PdmpModel, mode: int, zeta) -> None:
         raise DomainError(
             f"start point (mode={mode}, zeta={tuple(zeta)}) is not interior to its region"
         )
+
+
+def _check_horizon(horizon: float) -> None:
+    """Reject a horizon that is not a finite nonnegative number."""
+    if not (math.isfinite(horizon) and horizon >= 0):
+        raise DomainError(f"horizon must be finite and nonnegative; got {horizon!r}")
 
 
 def _never_exits(mode: int, zeta) -> NumericalError:
@@ -363,6 +371,7 @@ def _run_path(model: PdmpModel, table, x0: StatePoint, budget: int, horizon: flo
     collect_events.
     """
     _check_start(model, x0.mode, x0.zeta)
+    _check_horizon(horizon)
     rt = _runtime(model)
     alpha, f_const = model.discount, rt.f_const
     mode, zeta = x0.mode, x0.zeta
@@ -383,7 +392,7 @@ def _run_path(model: PdmpModel, table, x0: StatePoint, budget: int, horizon: flo
         elif f0 != 0.0 and seg > 0.0:
             running += math.exp(-alpha * elapsed) * f0 * (1.0 - math.exp(-alpha * seg)) / alpha
         if kind == INTERVENTION:
-            fee = model.costs.intervention(mode, pre, index)
+            fee = float(model.costs.intervention_along(mode, np.array([pre]), index)[0])
             fees += math.exp(-alpha * jump_time) * fee
             interventions.append((jump_time, mode, budget, step))
         if collect_events:
@@ -412,8 +421,8 @@ def simulate_uncontrolled(
     uniform for the sojourn and one for the post-jump atom; events at or past
     the horizon are dropped.
     """
-    if horizon <= 0:
-        raise DomainError("horizon must be positive")
+    if not horizon > 0:
+        raise DomainError(f"horizon must be positive; got {horizon!r}")
     running, _fees, _interventions, steps = _run_path(model, None, x0, 0, horizon, rng,
                                                      collect_events)
     events = tuple(
@@ -528,6 +537,7 @@ def lockstep_costs(model: PdmpModel, table, x0: StatePoint, budget: int, horizon
     against the math module's).
     """
     _check_start(model, x0.mode, x0.zeta)
+    _check_horizon(horizon)
     rt = _runtime(model)
     n = replicates
     out = ReplicateCosts(np.empty(n), np.empty(n), np.empty(n, dtype=np.int64),

@@ -315,27 +315,9 @@ class CostRuntime:
         self.c_upper = c_upper
         self.control_set = control_set
 
-    def running_at(self, mode: int, zeta) -> float:
-        cols = list(np.asarray(zeta, dtype=float))
-        return float(self.running[mode]({"zeta": cols}))
-
     def running_along(self, mode: int, pos: np.ndarray) -> np.ndarray:
         cols = [pos[:, i] for i in range(pos.shape[1])]
         return np.broadcast_to(self.running[mode]({"zeta": cols}), (pos.shape[0],)).astype(float)
-
-    def intervention(self, x_mode: int, x_zeta, y_index: int) -> float:
-        if self.kind == "constant":
-            return self._payload
-        if self.kind == "per_target":
-            return self._payload[y_index]
-        y = self.control_set[y_index]
-        env = {
-            "zeta": list(np.asarray(x_zeta, dtype=float)),
-            "m": float(x_mode),
-            "y": list(y.zeta),
-            "ym": float(y.mode),
-        }
-        return float(self._payload(env))
 
     def intervention_along(self, x_mode: int, pos: np.ndarray, y_index: int) -> np.ndarray:
         n = pos.shape[0]
@@ -379,10 +361,6 @@ class PdmpModel:
 
     def region(self, mode: int) -> ModeRegion:
         return self.modes[mode]
-
-    def intensity_at(self, mode: int, zeta) -> float:
-        cols = list(np.asarray(zeta, dtype=float))
-        return float(self.intensity[mode]({"zeta": cols}))
 
     def intensity_along(self, mode: int, pos: np.ndarray) -> np.ndarray:
         cols = [pos[:, i] for i in range(pos.shape[1])]
@@ -756,7 +734,7 @@ def validate_model(model: PdmpModel, grid_density: int = 50,
     tri_ok, tri_witness = True, None
     c_at_controls = np.array(
         [
-            [model.costs.intervention(y.mode, y.zeta, j) for j in range(u)]
+            [model.costs.intervention_along(y.mode, np.array([y.zeta]), j)[0] for j in range(u)]
             for y in model.control_set
         ]
     )

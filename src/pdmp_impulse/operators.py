@@ -12,10 +12,16 @@ geometry along the flows from same-mode states on uniform time grids, with
 the cumulative intensity integrated panel by panel, :class:`JCurve` the
 intervention-value curves on them, and :class:`CurveMinimum` refines each
 infimum by golden-section search and bisects for the eps-threshold time, in
-lockstep over the curves.  The grid solver runs it over chunks of grid nodes;
-:func:`inf_J` and :func:`op_Lscript` over one state.  The one-off
-:func:`op_F`, :func:`op_K` and :func:`op_J` stay adaptive quadrature
+lockstep over the curves.  :func:`jump_or_intervene` is the one
+single-jump-or-intervention step on them: ``valuefn.value_iterate`` runs it
+over chunks of grid nodes, with waiting values from the grid operator, and
+:func:`op_Lscript` over one state, with the waiting value from
+:meth:`JCurve.wait_value`; :func:`inf_J` minimizes one state's curve.  The
+one-off :func:`op_F`, :func:`op_K` and :func:`op_J` stay adaptive quadrature
 (relative tolerance 1e-10), as oracles.
+
+Rates and costs are read in their one array form, on rows of positions:
+``intensity_along``, ``running_along`` and ``intervention_along``.
 """
 
 from __future__ import annotations
@@ -75,16 +81,8 @@ class MinRelocationValue:
         finite = [abs(p) for p in self.phi if np.isfinite(p)]
         self.bound = model.costs.c_upper + (max(finite) if finite else 0.0)
 
-    def eval_with_argmin(self, mode: int, zeta) -> tuple[float, int]:
-        best, best_j = np.inf, -1
-        for j in range(len(self.phi)):
-            val = self.model.costs.intervention(mode, zeta, j) + self.phi[j]
-            if val < best:
-                best, best_j = val, j
-        return float(best), best_j
-
     def eval(self, x: StatePoint) -> float:
-        return self.eval_with_argmin(x.mode, x.zeta)[0]
+        return float(self.eval_many(x.mode, np.array([x.zeta]))[0])
 
     def _stacked(self, mode: int, pos: np.ndarray) -> np.ndarray:
         return np.stack(
@@ -299,10 +297,11 @@ class JCurve:
     def wait_value(self) -> np.ndarray:
         """Expected discounted cost carrying w past the next natural jump,
         from every state: the curve's integral up to t* plus the damped
-        kernel average of w at the boundary, taken over the exact end atoms."""
+        :meth:`kernel_average` of w at the flows' end positions on the
+        boundary."""
         p = self.profile
-        end_qw = np.array([op_Qw(p.model, self.w, StatePoint(p.mode, z)) for z in p.flow(p.t_star)])
-        return self.cum[:, -1] + p.damping(np.arange(p.size), p.t_star) * end_qw
+        return (self.cum[:, -1] + p.damping(np.arange(p.size), p.t_star)
+                * self.kernel_average(p.flow(p.t_star)))
 
     def at(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
         """J of states ``rows`` at times t, consistent with the grid values."""
@@ -451,11 +450,11 @@ def _flow_integral(model: PdmpModel, x: StatePoint, cap: float, w=None):
 
     def integrand(s):
         pos = np.asarray(model.flow.position(x.mode, zeta, s))
-        running = model.costs.running_at(x.mode, pos)
+        running = model.costs.running_along(x.mode, pos[None, :])[0]
         if w is None:
             return damp(s) * running
         point = StatePoint(x.mode, tuple(float(z) for z in pos))
-        lam = model.intensity_at(x.mode, pos)
+        lam = model.intensity_along(x.mode, pos[None, :])[0]
         qw = op_Qw(model, w, point) if lam != 0.0 else 0.0
         return damp(s) * (running + lam * qw)
 
@@ -494,8 +493,9 @@ def op_M(model: PdmpModel, phi: Sequence[float], x: StatePoint) -> tuple[float, 
     """Cheapest immediate relocation from x; ties resolve to the lowest index."""
     if len(model.control_set) == 0:
         raise ModelParseError("control set is empty")
-    reloc = MinRelocationValue(model, phi)
-    return reloc.eval_with_argmin(x.mode, x.zeta)
+    costs = MinRelocationValue(model, phi)._stacked(x.mode, np.array([x.zeta]))[:, 0]
+    j = int(np.argmin(costs))
+    return float(costs[j]), j
 
 
 def op_J(model: PdmpModel, v, w, x: StatePoint, t: float) -> float:
@@ -510,19 +510,40 @@ def op_J(model: PdmpModel, v, w, x: StatePoint, t: float) -> float:
     return float(inner + damp(cap) * v.eval(stop_point))
 
 
-def check_eps(eps: float) -> None:
-    """Reject an eps that is not a positive finite number."""
-    if not (math.isfinite(eps) and eps > 0):
-        raise ModelParseError(f"eps must be positive and finite; got {eps!r}")
+def check_positive(value: float, name: str) -> None:
+    """Reject a tolerance such as eps that is not a positive finite number."""
+    if not (math.isfinite(value) and value > 0):
+        raise ModelParseError(f"{name} must be positive and finite; got {value!r}")
+
+
+def jump_or_intervene(curve: JCurve, wait_value: np.ndarray, eps: float,
+                      time_tol_rel: float):
+    """The single jump-or-intervention step at every state of a curve batch.
+
+    A state waits where its waiting value is strictly below the curve's
+    infimum; elsewhere it intervenes at the eps-threshold time, which is
+    searched only there.  Returns the branch flags, the planned times (t*
+    when waiting), the values, the restart indices minimizing relocation
+    cost at the stop points (lowest index on ties) and the
+    :class:`CurveMinimum`.
+    """
+    low = CurveMinimum(curve, time_tol_rel)
+    wait = wait_value < low.value
+    value = wait_value.copy()
+    r = curve.profile.t_star.copy()
+    act = np.nonzero(~wait)[0]
+    if act.size:
+        r[act] = low.threshold_time(act, eps)
+        value[act] = curve.at(act, r[act])
+    y_index = curve.v.argmin_many(curve.profile.mode, curve.profile.flow(r))
+    return wait, r, value, y_index, low
 
 
 _ONE_STATE = np.arange(1)
 
 
-def _one_state_inf(curve: JCurve, eps: float, time_tol_rel: float) -> InfJResult:
-    low = CurveMinimum(curve, time_tol_rel)
-    return InfJResult(inf_value=float(low.value[0]),
-                      r_eps=float(low.threshold_time(_ONE_STATE, eps)[0]),
+def _one_state_inf(low: CurveMinimum, r_eps: float) -> InfJResult:
+    return InfJResult(inf_value=float(low.value[0]), r_eps=float(r_eps),
                       attained_on_grid=not low.refined[0])
 
 
@@ -535,27 +556,29 @@ def inf_J(model: PdmpModel, v, w, x: StatePoint, eps: float,
     the earliest time (scanning upward from 0) where the curve is strictly
     below inf + eps, located by bisection inside its bracketing cell.
     """
-    check_eps(eps)
-    return _one_state_inf(JCurve(state_profile(model, x, n_t), v, w), eps, time_tol_rel)
+    check_positive(eps, "eps")
+    check_positive(time_tol_rel, "time_tol_rel")
+    low = CurveMinimum(JCurve(state_profile(model, x, n_t), v, w), time_tol_rel)
+    return _one_state_inf(low, low.threshold_time(_ONE_STATE, eps)[0])
 
 
 def op_Lscript(model: PdmpModel, w, x: StatePoint, eps: float,
                n_t: int = 512) -> LscriptResult:
-    """Single jump-or-intervention step: wait for the natural jump or plan an
-    intervention at the eps-threshold time, whichever is strictly cheaper.
+    """Single jump-or-intervention step from x: :func:`jump_or_intervene` on
+    the one-state curve, with the waiting value from
+    :meth:`JCurve.wait_value`.
 
     Returns the eps-approximate value, which exceeds the exact minimization
-    by at most eps when the intervention branch wins.
+    by at most eps when the intervention branch wins; ``detail.r_eps`` is the
+    eps-threshold time on either branch.
     """
-    check_eps(eps)
-    profile = state_profile(model, x, n_t)
+    check_positive(eps, "eps")
     phi = [w.eval(y) for y in model.control_set]
-    curve = JCurve(profile, MinRelocationValue(model, phi), w)
-    detail = _one_state_inf(curve, eps, 1e-6)
-    wait = float(curve.wait_value()[0])
-    if wait < detail.inf_value:
-        return LscriptResult(value=wait, branch=BRANCH_WAIT, wait_value=wait,
-                             detail=detail)
-    value = float(curve.at(_ONE_STATE, np.array([detail.r_eps]))[0])
-    return LscriptResult(value=value, branch=BRANCH_INTERVENE, wait_value=wait,
-                         detail=detail)
+    curve = JCurve(state_profile(model, x, n_t), MinRelocationValue(model, phi), w)
+    wait_value = curve.wait_value()
+    wait, r, value, _y_index, low = jump_or_intervene(curve, wait_value, eps, 1e-6)
+    # The step searches the threshold time only where intervening wins.
+    r_eps = low.threshold_time(_ONE_STATE, eps)[0] if wait[0] else r[0]
+    return LscriptResult(value=float(value[0]),
+                         branch=BRANCH_WAIT if wait[0] else BRANCH_INTERVENE,
+                         wait_value=float(wait_value[0]), detail=_one_state_inf(low, r_eps))

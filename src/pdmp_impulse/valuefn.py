@@ -6,7 +6,9 @@ the iteration contracts geometrically under discounting).  The budgeted value
 functions V_k then follow the single-jump-or-intervention recursion: at every
 grid node the strictly cheaper of "wait for the natural jump" and "intervene
 at the eps-threshold time" is recorded together with the intervention time
-and restart target.
+and restart target.  Each stage runs the one step of the operators module,
+:func:`~.operators.jump_or_intervene`, over chunks of nodes, with waiting
+values from one application of the grid operator.
 
 Value interpolation, policy lookup and operator assembly find grid cells
 through one locator, :meth:`FunctionStore.locate`: a position is served when
@@ -33,13 +35,13 @@ from .model import PdmpModel, StatePoint, _node_mesh
 from .operators import (
     BRANCH_INTERVENE,
     BRANCH_WAIT,
-    CurveMinimum,
     FlowProfile,
     FunctionEvaluable,
     JCurve,
     MinRelocationValue,
-    check_eps,
+    check_positive,
     chunk_rows,
+    jump_or_intervene,
     op_Lscript,
 )
 from .quadrature import panel_cumulative
@@ -271,10 +273,6 @@ class GridOperator:
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self.offset_vec + self.matrix @ vec
 
-    def contraction_bound(self) -> float:
-        """Largest row sum of B, the sup-norm Lipschitz constant of apply."""
-        return float(np.asarray(self.matrix.sum(axis=1)).max(initial=0.0))
-
     def split(self, vec: np.ndarray) -> dict[int, np.ndarray]:
         return {m: vec[off:off + self.grid.values[m].size].reshape(self.grid.values[m].shape)
                 for m, off in self.mode_offsets.items()}
@@ -292,43 +290,24 @@ def compute_h(model: PdmpModel, store_spec: GridSpec | None = None,
     tol * (1 + sup |w|); convergence is geometric because the expected jump
     discount is strictly below one.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ModelParseError(f"h tolerance must be positive and finite; got {tol!r}")
+    check_positive(tol, "h tolerance")
     spec = store_spec or GridSpec()
     axes = spec.build_axes(model)
     gop = GridOperator(model, axes, n_t=n_t)
     vec = np.zeros(gop.size)
-    previous_gap = None
+    last = before = None
     for _ in range(max_iter):
         nxt = gop.apply(vec)
         gap = float(np.max(np.abs(nxt - vec)))
         vec = nxt
         if gap <= tol * (1.0 + float(np.max(np.abs(vec)))):
             return gop.to_store(vec, spec.coverage(model))
-        previous_gap = gap
-    estimate = gop.contraction_bound()
+        last, before = gap, last
+    ratio = "n/a" if before is None else f"{last / before:.6f}"
     raise NumericalError(
-        f"fixed-point iteration did not converge in {max_iter} steps; "
-        f"last increment {previous_gap!r}, contraction bound {estimate:.6f}"
+        f"fixed-point iteration did not converge in {max_iter} steps; last increment "
+        f"{last!r}, contraction estimate (last over previous increment) {ratio}"
     )
-
-
-def _jump_or_intervene(curve: JCurve, wait_value: np.ndarray, eps: float,
-                       time_tol_rel: float):
-    """Branch flag, planned time, value and restart index at every state of
-    a curve batch: the strict comparison of the waiting value with the
-    curve's infimum that ``value_iterate`` documents.  The eps-threshold
-    time is searched only where intervening wins."""
-    low = CurveMinimum(curve, time_tol_rel)
-    wait = wait_value < low.value
-    value = wait_value.copy()
-    r = curve.profile.t_star.copy()
-    act = np.nonzero(~wait)[0]
-    if act.size:
-        r[act] = low.threshold_time(act, eps)
-        value[act] = curve.at(act, r[act])
-    y_index = curve.v.argmin_many(curve.profile.mode, curve.profile.flow(r))
-    return wait, r, value, y_index
 
 
 @dataclass(eq=False)
@@ -441,7 +420,8 @@ def value_iterate(model: PdmpModel, h: FunctionStore, n_max: int, eps: float,
     """
     if n_max < 1:
         raise ModelParseError("n_max must be at least 1")
-    check_eps(eps)
+    check_positive(eps, "eps")
+    check_positive(time_tol_rel, "time_tol_rel")
     gop = GridOperator(model, h.axes, n_t=n_t)
     coverage = h.coverage
     table = PolicyTable(
@@ -467,7 +447,7 @@ def value_iterate(model: PdmpModel, h: FunctionStore, n_max: int, eps: float,
         y_vec = np.empty(gop.size, dtype=np.int64)
         for start, profile in gop.node_profiles():
             rows = slice(start, start + profile.size)
-            wait_flags[rows], r_vec[rows], new_vec[rows], y_vec[rows] = _jump_or_intervene(
+            wait_flags[rows], r_vec[rows], new_vec[rows], y_vec[rows], _low = jump_or_intervene(
                 JCurve(profile, reloc, prev_store), wait_vec[rows], eps, time_tol_rel,
             )
         table.stages.append(
@@ -512,11 +492,13 @@ def eval_Vk_exact(model: PdmpModel, h: FunctionStore, k: int, x: StatePoint,
     points demand it (memoized on rounded positions); cost grows
     geometrically with k, guarded by an evaluation budget.
     """
+    if k < 0:
+        raise ModelParseError(f"budget k must be nonnegative; got {k}")
     if k > k_exact_max:
         raise ResourceBudgetError(
             f"exact recursion limited to k <= {k_exact_max}; got {k}"
         )
-    check_eps(eps)
+    check_positive(eps, "eps")
     memo: dict = {}
     calls = [0]
 

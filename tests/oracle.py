@@ -16,8 +16,9 @@ the one-off ``op_F``, ``op_K`` and ``op_J`` of the package.
 
 It also keeps the earlier one-point policy lookup (``lookup``, the corner
 rule of ``PolicyTable.lookup_many`` on plain lists), kernel claim
-(``atoms_at``, the first entry whose closed box holds the point) and
-static-kernel atom list (``static_atoms``).
+(``atoms_at``, the first entry whose closed box holds the point),
+static-kernel atom list (``static_atoms``) and running cost at one point
+(``running_at``, the model's expression on plain floats).
 """
 
 from __future__ import annotations
@@ -408,3 +409,9 @@ def static_atoms(model: PdmpModel, mode: int):
         return None
     return [(point.mode, point.zeta, prob)
             for point, prob in atoms_at(model, mode, (0.0,) * model.dim)]
+
+
+def running_at(model: PdmpModel, mode: int, zeta) -> float:
+    """Running cost at one position: the mode's compiled expression on plain
+    floats, not the package's row form."""
+    return float(model.costs.running[mode]({"zeta": [float(z) for z in zeta]}))

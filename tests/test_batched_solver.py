@@ -16,7 +16,7 @@ from pdmp_impulse import operators, valuefn
 from pdmp_impulse.dynamics import hit_time
 from pdmp_impulse.model import StatePoint
 from pdmp_impulse.operators import FlowProfile as _FlowChunk
-from pdmp_impulse.operators import MinRelocationValue, inf_J, op_Lscript
+from pdmp_impulse.operators import BRANCH_WAIT, MinRelocationValue, inf_J, op_Lscript, op_M
 from pdmp_impulse.operators import _first_entry as _first_entry_many
 from pdmp_impulse.operators import _golden_min as _golden_min_many
 from pdmp_impulse.valuefn import (
@@ -81,7 +81,8 @@ def scalar_stage(model, gop, coverage, prev_vec, eps, n_t):
     """One recursion stage, node by node on the scalar path."""
     wait_vec = gop.apply(prev_vec)
     prev_store = gop.to_store(prev_vec, coverage)
-    reloc = MinRelocationValue(model, [prev_store.eval(y) for y in model.control_set])
+    phi = [prev_store.eval(y) for y in model.control_set]
+    reloc = MinRelocationValue(model, phi)
     out = {"wait": [], "r": [], "y_index": [], "value": []}
     for i, x in enumerate(_nodes(model, gop.axes)):
         profile = FlowProfile(model, x, n_t=n_t)
@@ -89,10 +90,11 @@ def scalar_stage(model, gop, coverage, prev_vec, eps, n_t):
         detail = _inf_from_curve(curve, eps, TIME_TOL_REL)
         wait = bool(wait_vec[i] < detail.inf_value)
         r = profile.t_star if wait else detail.r_eps
-        stop = model.flow.position(x.mode, np.asarray(x.zeta), r)
+        stop = np.asarray(model.flow.position(x.mode, np.asarray(x.zeta), r))[None, :]
         out["wait"].append(wait)
         out["r"].append(r)
-        out["y_index"].append(reloc.eval_with_argmin(x.mode, stop)[1])
+        out["y_index"].append(int(np.argmin(
+            [model.costs.intervention_along(x.mode, stop, j)[0] + p for j, p in enumerate(phi)])))
         out["value"].append(wait_vec[i] if wait else curve.at(r))
     return {k: np.asarray(v) for k, v in out.items()}
 
@@ -109,7 +111,6 @@ def test_batched_solver_matches_scalar_path(name):
     gop = GridOperator(model, h.axes, n_t=N_T)
     assert np.array_equal(gop.offset_vec, running)
     assert np.allclose(gop.matrix.toarray(), matrix, rtol=1e-12, atol=1e-15)
-    assert gop.contraction_bound() == pytest.approx(matrix.sum(axis=1).max(), rel=1e-12)
 
     h_vec = _flat(h.values, model)
     h_ref = dense_fixed_point(running, matrix, H_TOL)
@@ -219,6 +220,34 @@ def test_one_state_entries_match_the_scalar_oracle(name):
                 assert _close(getattr(got, field), getattr(want, field))
             for field in ("inf_value", "r_eps"):
                 assert _close(getattr(got.detail, field), getattr(want.detail, field))
+
+
+@pytest.mark.parametrize("name", FEATURE_MODELS + ["nonconstant_running"])
+def test_one_state_step_matches_value_iterate_at_every_node(name):
+    """op_Lscript and value_iterate run the same step; only the waiting
+    value comes from elsewhere (the one-state curve against the grid
+    operator), so it alone may differ, by rounding."""
+    model, density = feature_model(name)
+    h = compute_h(model, GridSpec(density=density), tol=H_TOL, n_t=N_T)
+    table = value_iterate(model, h, n_max=2, eps=EPS, n_t=N_T)
+    for k, stage in enumerate(table.stages, start=1):
+        w = table.value_store(k - 1)
+        phi = [w.eval(y) for y in model.control_set]
+        for m in model.mode_ids:
+            nodes = table.node_positions(m)
+            t_star = model.flow.hit_times(m, nodes)
+            wait, r, y_index, value = (getattr(stage, f)[m].ravel()
+                                       for f in ("wait", "r", "y_index", "value"))
+            for i, zeta in enumerate(nodes):
+                got = op_Lscript(model, w, StatePoint(m, tuple(zeta)), EPS, n_t=N_T)
+                assert (got.branch == BRANCH_WAIT) == wait[i], (k, zeta)
+                stop = model.flow.position(m, zeta[None, :], r[i:i + 1])[0]
+                assert op_M(model, phi, StatePoint(m, tuple(stop)))[1] == y_index[i]
+                if wait[i]:
+                    assert r[i] == t_star[i]
+                    assert abs(got.value - value[i]) <= 1e-14 * abs(value[i]), (k, zeta)
+                else:
+                    assert (got.detail.r_eps, got.value) == (r[i], value[i]), (k, zeta)
 
 
 def test_exact_recursion_matches_the_scalar_oracle(rm1, rm1_h):

@@ -421,6 +421,35 @@ def test_bad_start_point_rejected_before_any_path(rm1, rm1_table, x0):
         check_joint_law(x0, 1, rm1_table, rm1, replicates=100, seed=0)
 
 
+@pytest.mark.parametrize("horizon", [-1.0, math.nan, math.inf])
+def test_bad_horizon_rejected_before_any_path(rm1, rm1_table, horizon):
+    # A negative horizon once gave a cost; NaN and inf ran every path to
+    # MAX_JUMPS.
+    x0 = as_state(1, 2.0)
+    for n0 in (0, 1):
+        with pytest.raises(DomainError, match="horizon"):
+            simulate_controlled(x0, n0, rm1_table, rm1, _UnusedStream(), horizon=horizon)
+        with pytest.raises(DomainError, match="horizon"):
+            estimate_cost_J(x0, n0, rm1_table, rm1, replicates=10, seed=0, horizon=horizon)
+    with pytest.raises(DomainError, match="horizon"):
+        simulate_uncontrolled(rm1, x0, horizon, _UnusedStream())
+
+
+def test_horizon_zero_runs_only_under_control(rm1, rm1_table):
+    x0 = as_state(1, 2.0)
+    with pytest.raises(DomainError, match="horizon must be positive"):
+        simulate_uncontrolled(rm1, x0, 0.0, _UnusedStream())
+    est = estimate_cost_J(x0, 1, rm1_table, rm1, replicates=10, seed=0, horizon=0.0)
+    assert est.running_mean == 0.0
+    assert sum(est.intervention_counts.values()) == 10
+
+
+@pytest.mark.parametrize("tail_tol", [0.0, -1e-6, math.nan, math.inf])
+def test_default_horizon_rejects_bad_tail_tolerance(rm1, tail_tol):
+    with pytest.raises(DomainError, match="tail_tol"):
+        default_horizon(rm1, tail_tol=tail_tol)
+
+
 # ---------------------------------------------------------------------------
 # First-transition law beyond constant intensity and a single kernel entry
 

@@ -31,6 +31,7 @@ from pdmp_impulse.quadrature import GL_ORDER, panel_cumulative, panel_nodes
 from pdmp_impulse.valuefn import GridSpec, compute_h
 
 from conftest import feature_model, rm1_doc
+from oracle import running_at
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +196,7 @@ def test_sojourn_inversion_consistency_nonconstant_rate():
 def _quad_segment(model, x, length):
     def integrand(s):
         pos = np.asarray(model.flow.position(x.mode, np.asarray(x.zeta), s))
-        return math.exp(-model.discount * s) * model.costs.running_at(x.mode, pos)
+        return math.exp(-model.discount * s) * running_at(model, x.mode, pos)
 
     return quad(integrand, 0.0, length, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
 

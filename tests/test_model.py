@@ -139,7 +139,7 @@ def test_expression_intervention_cost():
     }
     doc["costs"]["intervention_bounds"] = [1.0, 1.2]
     model = load_model(doc)
-    assert model.costs.intervention(1, (2.0,), 0) == pytest.approx(1.06)
+    assert model.costs.intervention_along(1, np.array([[2.0]]), 0)[0] == pytest.approx(1.06)
     report = validate_model(model, grid_density=20, rng_seed=3)
     assert report.passed
 

@@ -26,6 +26,7 @@ from pdmp_impulse.operators import ConstantEvaluable, op_F, op_K
 from pdmp_impulse.valuefn import GridSpec, compute_h, policy_query, value_iterate
 
 from conftest import planar_doc, rm1_doc
+from oracle import running_at
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +101,7 @@ def test_nonconstant_running_cost_segments():
     def segment(mode, z0, start, length):
         def integrand(s):
             pos = np.asarray(model.flow.position(mode, np.asarray(z0), s))
-            return math.exp(-alpha * s) * model.costs.running_at(mode, pos)
+            return math.exp(-alpha * s) * running_at(model, mode, pos)
 
         value, _ = quad(integrand, 0.0, length, epsabs=1e-12, epsrel=1e-10)
         return math.exp(-alpha * start) * value

@@ -128,8 +128,11 @@ def test_h_matches_geometric_series_oracle(cycle_model):
 
 def test_h_nonconvergence_reports_contraction():
     model = load_model(rm1_doc())
-    with pytest.raises(NumericalError, match="contraction"):
-        compute_h(model, GridSpec(density=20), tol=1e-12, max_iter=2)
+    estimate = r"contraction estimate \(last over previous increment\) "
+    with pytest.raises(NumericalError, match=estimate + r"0\.\d{6}$"):
+        compute_h(model, GridSpec(density=20), tol=1e-12, max_iter=3)
+    with pytest.raises(NumericalError, match=estimate + "n/a$"):
+        compute_h(model, GridSpec(density=20), tol=1e-12, max_iter=1)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +248,8 @@ def test_exact_recursion_rejects_bad_eps(rm1, rm1_h, eps):
 
 
 def test_exact_recursion_budget_guards(rm1, rm1_h):
+    with pytest.raises(ModelParseError, match="budget k"):
+        eval_Vk_exact(rm1, rm1_h, -1, as_state(1, 2.0), 0.01)
     with pytest.raises(ResourceBudgetError):
         eval_Vk_exact(rm1, rm1_h, 4, as_state(1, 2.0), 0.01)
     with pytest.raises(ResourceBudgetError):
@@ -291,6 +296,9 @@ def test_value_iterate_rejects_bad_arguments(rm1, rm1_h):
     for eps in (0.0, math.nan, math.inf):
         with pytest.raises(ModelParseError):
             value_iterate(rm1, rm1_h, n_max=1, eps=eps)
+    for time_tol_rel in (math.nan, 0.0, -1.0, math.inf):
+        with pytest.raises(ModelParseError, match="time_tol_rel"):
+            value_iterate(rm1, rm1_h, n_max=1, eps=0.01, time_tol_rel=time_tol_rel)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])

@@ -43,6 +43,7 @@ from .quadrature import panel_nodes
 from .valuefn import PolicyTable, policy_query
 
 KS_CRIT_1PCT = math.sqrt(-0.5 * math.log(0.005))  # two-sided 1% coefficient
+LAW_QUAD_POINTS = 257  # panel grid points of the interior atom law up to the cap
 
 
 class _Cemetery:
@@ -333,7 +334,7 @@ def _law_stat(name: str, p: float, count: int, n: int) -> LawStat:
 
 
 def check_joint_law(x0: StatePoint, n0: int, table: PolicyTable, model: PdmpModel,
-                    replicates: int, seed: int, quad_points: int = 257) -> LawReport:
+                    replicates: int, seed: int) -> LawReport:
     """Compare empirical first-transition frequencies with the analytic law.
 
     Events: jump strictly inside the truncation cap, natural boundary hit, and
@@ -361,7 +362,7 @@ def check_joint_law(x0: StatePoint, n0: int, table: PolicyTable, model: PdmpMode
     # Atom identity is the index within the matched entry, as sampled.
     atom_probs_interior: dict[int, float] = {}
     if cap > 0 and p_interior > 0:
-        s, wq = panel_nodes(np.linspace(0.0, cap, quad_points))
+        s, wq = panel_nodes(np.linspace(0.0, cap, LAW_QUAD_POINTS))
         pos = model.flow.position(x0.mode, x0.zeta, s)
         haz = wq * model.intensity_along(x0.mode, pos) * np.exp(
             -flow_cumulative(model, x0.mode, zeta, s))

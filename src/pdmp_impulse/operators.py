@@ -12,7 +12,7 @@ geometry along the flows from same-mode states on uniform time grids, with
 the cumulative intensity integrated panel by panel, :class:`JCurve` the
 intervention-value curves on them, and :class:`CurveMinimum` refines each
 infimum by golden-section search and bisects for the eps-threshold time, in
-lockstep over the curves.  :func:`jump_or_intervene` is the one
+lockstep over the curves, to TIME_TOL_REL of t*.  :func:`jump_or_intervene` is the one
 single-jump-or-intervention step on them: ``valuefn.value_iterate`` runs it
 over chunks of grid nodes, with waiting values from the grid operator, and
 :func:`op_Lscript` over one state, with the waiting value from
@@ -43,6 +43,8 @@ BRANCH_INTERVENE = "intervene"
 
 GOLDEN_RATIO_STEP = 0.5 * (3.0 - math.sqrt(5.0))
 
+TIME_TOL_REL = 1e-6  # time tolerance of the curve searches, relative to t*
+
 
 class FunctionEvaluable:
     """Wrap a plain callable on StatePoint as an evaluable with a sup bound."""
@@ -58,7 +60,6 @@ class FunctionEvaluable:
 class ConstantEvaluable:
     def __init__(self, value: float):
         self.value = float(value)
-        self.bound = abs(self.value)
 
     def eval(self, x: StatePoint) -> float:
         return self.value
@@ -78,8 +79,6 @@ class MinRelocationValue:
             raise ModelParseError("phi must assign a value to every control point")
         self.model = model
         self.phi = tuple(float(p) for p in phi)
-        finite = [abs(p) for p in self.phi if np.isfinite(p)]
-        self.bound = model.costs.c_upper + (max(finite) if finite else 0.0)
 
     def eval(self, x: StatePoint) -> float:
         return float(self.eval_many(x.mode, np.array([x.zeta]))[0])
@@ -391,12 +390,12 @@ class CurveMinimum:
     ``refined`` marks the curves where the search beat the grid.
     """
 
-    def __init__(self, curve: JCurve, time_tol_rel: float):
+    def __init__(self, curve: JCurve):
         p = curve.profile
         self.curve = curve
         states = np.arange(p.size)
         last = p.tgrid.shape[1] - 1
-        self.tol = np.maximum(time_tol_rel * np.maximum(p.t_star, 1e-30), 1e-300)
+        self.tol = np.maximum(TIME_TOL_REL * np.maximum(p.t_star, 1e-30), 1e-300)
         l_star = np.argmin(curve.values, axis=1)
         grid_min = curve.values[states, l_star]
         t_ref, f_ref = _golden_min(
@@ -516,8 +515,7 @@ def check_positive(value: float, name: str) -> None:
         raise ModelParseError(f"{name} must be positive and finite; got {value!r}")
 
 
-def jump_or_intervene(curve: JCurve, wait_value: np.ndarray, eps: float,
-                      time_tol_rel: float):
+def jump_or_intervene(curve: JCurve, wait_value: np.ndarray, eps: float):
     """The single jump-or-intervention step at every state of a curve batch.
 
     A state waits where its waiting value is strictly below the curve's
@@ -527,7 +525,7 @@ def jump_or_intervene(curve: JCurve, wait_value: np.ndarray, eps: float,
     cost at the stop points (lowest index on ties) and the
     :class:`CurveMinimum`.
     """
-    low = CurveMinimum(curve, time_tol_rel)
+    low = CurveMinimum(curve)
     wait = wait_value < low.value
     value = wait_value.copy()
     r = curve.profile.t_star.copy()
@@ -548,7 +546,7 @@ def _one_state_inf(low: CurveMinimum, r_eps: float) -> InfJResult:
 
 
 def inf_J(model: PdmpModel, v, w, x: StatePoint, eps: float,
-          n_t: int = 512, time_tol_rel: float = 1e-6) -> InfJResult:
+          n_t: int = 512) -> InfJResult:
     """Minimize the intervention-value curve and locate its eps-threshold time.
 
     The curve is constant past t*, so a grid over [0, t*] plus golden-section
@@ -557,8 +555,7 @@ def inf_J(model: PdmpModel, v, w, x: StatePoint, eps: float,
     below inf + eps, located by bisection inside its bracketing cell.
     """
     check_positive(eps, "eps")
-    check_positive(time_tol_rel, "time_tol_rel")
-    low = CurveMinimum(JCurve(state_profile(model, x, n_t), v, w), time_tol_rel)
+    low = CurveMinimum(JCurve(state_profile(model, x, n_t), v, w))
     return _one_state_inf(low, low.threshold_time(_ONE_STATE, eps)[0])
 
 
@@ -576,7 +573,7 @@ def op_Lscript(model: PdmpModel, w, x: StatePoint, eps: float,
     phi = [w.eval(y) for y in model.control_set]
     curve = JCurve(state_profile(model, x, n_t), MinRelocationValue(model, phi), w)
     wait_value = curve.wait_value()
-    wait, r, value, _y_index, low = jump_or_intervene(curve, wait_value, eps, 1e-6)
+    wait, r, value, _y_index, low = jump_or_intervene(curve, wait_value, eps)
     # The step searches the threshold time only where intervening wins.
     r_eps = low.threshold_time(_ONE_STATE, eps)[0] if wait[0] else r[0]
     return LscriptResult(value=float(value[0]),

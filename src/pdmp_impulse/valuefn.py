@@ -8,7 +8,8 @@ grid node the strictly cheaper of "wait for the natural jump" and "intervene
 at the eps-threshold time" is recorded together with the intervention time
 and restart target.  Each stage runs the one step of the operators module,
 :func:`~.operators.jump_or_intervene`, over chunks of nodes, with waiting
-values from one application of the grid operator.
+values from one application of the grid operator that :func:`compute_h`
+built and kept on h: one discretization per solve.
 
 Value interpolation, policy lookup and operator assembly find grid cells
 through one locator, :meth:`FunctionStore.locate`: a position is served when
@@ -48,6 +49,8 @@ from .quadrature import panel_cumulative
 
 BRANCH_NONE = "no-intervention"
 
+GRID_MARGIN_REL = 1e-6  # gap from region boundary to outermost node, relative to extent
+
 
 def _cell_weights(axes: tuple[np.ndarray, ...], pos: np.ndarray):
     """Flat corner indices and multilinear weights, both (n, 2^d), of the
@@ -83,12 +86,14 @@ class FunctionStore:
     Queries may fall in the thin margin between the outermost nodes and the
     region boundary (linear extrapolation); anything beyond the closure raises
     :class:`ExtrapolationError`.
+
+    ``operator`` is the :class:`GridOperator` whose fixed point the values
+    are, on the store :func:`compute_h` returns, and None on any other store.
     """
 
     def __init__(self, axes: dict[int, tuple[np.ndarray, ...]],
                  values: dict[int, np.ndarray],
-                 coverage: dict[int, tuple[tuple[float, ...], tuple[float, ...]]],
-                 bound: float | None = None):
+                 coverage: dict[int, tuple[tuple[float, ...], tuple[float, ...]]]):
         self.axes = {m: tuple(np.asarray(a, dtype=float) for a in ax)
                      for m, ax in axes.items()}
         self.values = {m: np.asarray(v, dtype=float) for m, v in values.items()}
@@ -96,9 +101,8 @@ class FunctionStore:
         for m, v in self.values.items():
             if not np.all(np.isfinite(v)):
                 raise NumericalError(f"non-finite stored values in mode {m}")
-        if bound is None:
-            bound = max(float(np.max(np.abs(v))) for v in self.values.values())
-        self.bound = float(bound)
+        self.bound = max(float(np.max(np.abs(v))) for v in self.values.values())
+        self.operator: GridOperator | None = None
 
     def locate(self, mode: int, pos: np.ndarray):
         """Flat corner indices and weights of the cells holding an (n, d)
@@ -131,12 +135,10 @@ class FunctionStore:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """How to lay out per-mode grids: node density per axis, pinned points,
-    and the relative margin kept from the region boundary."""
+    """How to lay out per-mode grids: node density per axis and pinned points."""
 
     density: int = 200
     extra_points: dict[int, tuple[tuple[float, ...], ...]] | None = None
-    margin_rel: float = 1e-6
 
     def build_axes(self, model: PdmpModel) -> dict[int, tuple[np.ndarray, ...]]:
         if self.density < 2:
@@ -158,20 +160,13 @@ class GridSpec:
             mode_axes = []
             for k in range(model.dim):
                 lo, hi = region.lower[k], region.upper[k]
-                delta = self.margin_rel * (hi - lo)
+                delta = GRID_MARGIN_REL * (hi - lo)
                 base = np.linspace(lo + delta, hi - delta, self.density)
                 coords = [p[k] for p in pinned[m] if lo < p[k] < hi]
                 axis = np.unique(np.concatenate([base, np.asarray(coords)]))
                 mode_axes.append(axis)
             axes[m] = tuple(mode_axes)
         return axes
-
-    @staticmethod
-    def coverage(model: PdmpModel):
-        return {
-            m: (model.region(m).lower, model.region(m).upper)
-            for m in model.mode_ids
-        }
 
 
 class GridOperator:
@@ -194,8 +189,9 @@ class GridOperator:
         self.model = model
         self.axes = axes
         self.n_t = n_t
-        self.grid = FunctionStore(axes, {m: np.zeros([len(a) for a in axes[m]])
-                                         for m in model.mode_ids}, GridSpec.coverage(model))
+        self.grid = FunctionStore(
+            axes, {m: np.zeros([len(a) for a in axes[m]]) for m in model.mode_ids},
+            {m: (model.region(m).lower, model.region(m).upper) for m in model.mode_ids})
         sizes = [self.grid.values[m].size for m in model.mode_ids]
         self.mode_offsets = dict(zip(model.mode_ids, np.cumsum([0] + sizes[:-1]).tolist()))
         self.size = offset = sum(sizes)
@@ -277,8 +273,8 @@ class GridOperator:
         return {m: vec[off:off + self.grid.values[m].size].reshape(self.grid.values[m].shape)
                 for m, off in self.mode_offsets.items()}
 
-    def to_store(self, vec: np.ndarray, coverage) -> FunctionStore:
-        return FunctionStore(self.axes, self.split(vec), coverage)
+    def to_store(self, vec: np.ndarray) -> FunctionStore:
+        return FunctionStore(self.axes, self.split(vec), self.grid.coverage)
 
 
 def compute_h(model: PdmpModel, store_spec: GridSpec | None = None,
@@ -288,9 +284,11 @@ def compute_h(model: PdmpModel, store_spec: GridSpec | None = None,
 
     Iterates w <- F + B w from zero until the sup-node increment falls below
     tol * (1 + sup |w|); convergence is geometric because the expected jump
-    discount is strictly below one.
+    discount is strictly below one.  The store keeps the operator.
     """
     check_positive(tol, "h tolerance")
+    if max_iter < 1:
+        raise ModelParseError(f"max_iter must be at least 1; got {max_iter}")
     spec = store_spec or GridSpec()
     axes = spec.build_axes(model)
     gop = GridOperator(model, axes, n_t=n_t)
@@ -301,7 +299,9 @@ def compute_h(model: PdmpModel, store_spec: GridSpec | None = None,
         gap = float(np.max(np.abs(nxt - vec)))
         vec = nxt
         if gap <= tol * (1.0 + float(np.max(np.abs(vec)))):
-            return gop.to_store(vec, spec.coverage(model))
+            h = gop.to_store(vec)
+            h.operator = gop
+            return h
         last, before = gap, last
     ratio = "n/a" if before is None else f"{last / before:.6f}"
     raise NumericalError(
@@ -408,11 +408,11 @@ class PolicyQueryResult:
     branch: str
 
 
-def value_iterate(model: PdmpModel, h: FunctionStore, n_max: int, eps: float,
-                  n_t: int = 512, time_tol_rel: float = 1e-6) -> PolicyTable:
+def value_iterate(model: PdmpModel, h: FunctionStore, n_max: int, eps: float) -> PolicyTable:
     """Run the budgeted jump-or-intervene recursion from the no-impulse cost.
 
-    At each node the waiting value (grid-linear operator) and the refined
+    ``h`` is the store :func:`compute_h` returned for this model, whose grid
+    operator every stage applies.  At each node the waiting value and the refined
     infimum of the intervention-value curve are compared strictly; the
     intervention branch records the eps-threshold time and the restart point
     minimizing relocation cost plus previous-stage value (ties to the lowest
@@ -421,15 +421,17 @@ def value_iterate(model: PdmpModel, h: FunctionStore, n_max: int, eps: float,
     if n_max < 1:
         raise ModelParseError("n_max must be at least 1")
     check_positive(eps, "eps")
-    check_positive(time_tol_rel, "time_tol_rel")
-    gop = GridOperator(model, h.axes, n_t=n_t)
-    coverage = h.coverage
+    gop = h.operator
+    if gop is None:
+        raise ModelParseError("h carries no grid operator; pass the store compute_h returns")
+    if gop.model.content_hash != model.content_hash:
+        raise ModelParseError("h was computed for another model")
     table = PolicyTable(
         model_hash=model.content_hash,
         eps=eps,
         n_max=n_max,
         axes=h.axes,
-        coverage=coverage,
+        coverage=h.coverage,
         control_set=model.control_set,
         h=h,
     )
@@ -438,7 +440,7 @@ def value_iterate(model: PdmpModel, h: FunctionStore, n_max: int, eps: float,
     )
     for _k in range(1, n_max + 1):
         wait_vec = gop.apply(prev_vec)
-        prev_store = gop.to_store(prev_vec, coverage)
+        prev_store = gop.to_store(prev_vec)
         phi = [prev_store.eval(y) for y in model.control_set]
         reloc = MinRelocationValue(model, phi)
         new_vec = np.empty(gop.size)
@@ -448,8 +450,7 @@ def value_iterate(model: PdmpModel, h: FunctionStore, n_max: int, eps: float,
         for start, profile in gop.node_profiles():
             rows = slice(start, start + profile.size)
             wait_flags[rows], r_vec[rows], new_vec[rows], y_vec[rows], _low = jump_or_intervene(
-                JCurve(profile, reloc, prev_store), wait_vec[rows], eps, time_tol_rel,
-            )
+                JCurve(profile, reloc, prev_store), wait_vec[rows], eps)
         table.stages.append(
             PolicyStage(
                 wait=gop.split(wait_flags),

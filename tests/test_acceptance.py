@@ -301,3 +301,23 @@ def test_criterion_11_intervention_markov(rm1, rm1_table):
     )
     ok = rep_report.passed and len(rep_report.groups) >= 1
     report(11, ok, detail)
+
+
+def test_criterion_11_restart_check_with_spread(rm1, rm1_table):
+    """Criterion 11 where the restart check has power: from (1, 2.0) at
+    N0 = 3 the paths that intervene first restart at (mode 1, budget 2), and
+    their shifted second intervention times spread out."""
+    x0, n0, seed, replicates = as_state(1, 2.0), 3, 1112, 10_000
+    rep_report = check_intervention_markov(x0, n0, rm1_table, rm1,
+                                           replicates=replicates, seed=seed, i=2)
+    label = "intervention-first->mode1,budget2"
+    group = next(g for g in rep_report.groups if g.label == label)
+    costs = lockstep_costs(rm1, rm1_table, x0, n0, 0.0, seed, replicates)
+    first = costs.first
+    restarted = first["intervened"] & (first["post_mode"] == 1) & (first["post_budget"] == 2)
+    shifted = costs.tau[restarted, 1] - first["sojourn"][restarted]
+    assert shifted.size == group.n_observed
+    distinct = np.unique(shifted).size
+    report(11, rep_report.passed and distinct > group.n_observed // 2,
+           f"{label}: {group.n_observed} paths, {distinct} distinct shifted times, "
+           f"KS {group.ks_statistic:.4f} < {group.ks_critical_1pct:.4f}")

@@ -16,11 +16,11 @@ from pdmp_impulse import operators, valuefn
 from pdmp_impulse.dynamics import hit_time
 from pdmp_impulse.model import StatePoint
 from pdmp_impulse.operators import FlowProfile as _FlowChunk
-from pdmp_impulse.operators import BRANCH_WAIT, MinRelocationValue, inf_J, op_Lscript, op_M
+from pdmp_impulse.operators import (BRANCH_WAIT, TIME_TOL_REL, MinRelocationValue, inf_J,
+                                    op_Lscript, op_M)
 from pdmp_impulse.operators import _first_entry as _first_entry_many
 from pdmp_impulse.operators import _golden_min as _golden_min_many
 from pdmp_impulse.valuefn import (
-    GridOperator,
     GridSpec,
     _cell_weights,
     _node_mesh,
@@ -35,7 +35,6 @@ from oracle import (FlowProfile, JCurve, _first_entry, _golden_min, _inf_from_cu
 
 N_T = 64
 EPS = 0.01
-TIME_TOL_REL = 1e-6
 H_TOL = 1e-10
 
 
@@ -77,10 +76,10 @@ def dense_fixed_point(running, matrix, tol):
             return vec
 
 
-def scalar_stage(model, gop, coverage, prev_vec, eps, n_t):
+def scalar_stage(model, gop, prev_vec, eps, n_t):
     """One recursion stage, node by node on the scalar path."""
     wait_vec = gop.apply(prev_vec)
-    prev_store = gop.to_store(prev_vec, coverage)
+    prev_store = gop.to_store(prev_vec)
     phi = [prev_store.eval(y) for y in model.control_set]
     reloc = MinRelocationValue(model, phi)
     out = {"wait": [], "r": [], "y_index": [], "value": []}
@@ -108,7 +107,7 @@ def test_batched_solver_matches_scalar_path(name):
     model, density = feature_model(name)
     h = compute_h(model, GridSpec(density=density), tol=H_TOL, n_t=N_T)
     running, matrix = dense_operator(model, h.axes, N_T)
-    gop = GridOperator(model, h.axes, n_t=N_T)
+    gop = h.operator
     assert np.array_equal(gop.offset_vec, running)
     assert np.allclose(gop.matrix.toarray(), matrix, rtol=1e-12, atol=1e-15)
 
@@ -116,11 +115,11 @@ def test_batched_solver_matches_scalar_path(name):
     h_ref = dense_fixed_point(running, matrix, H_TOL)
     assert np.all(np.abs(h_vec - h_ref) <= 1e-12 * np.maximum(1.0, np.abs(h_ref)))
 
-    table = value_iterate(model, h, n_max=2, eps=EPS, n_t=N_T, time_tol_rel=TIME_TOL_REL)
+    table = value_iterate(model, h, n_max=2, eps=EPS)
     t_star = np.array([hit_time(model, x) for x in _nodes(model, h.axes)])
     prev_vec = h_vec
     for stage in table.stages:
-        ref = scalar_stage(model, gop, h.coverage, prev_vec, EPS, N_T)
+        ref = scalar_stage(model, gop, prev_vec, EPS, N_T)
         wait = _flat(stage.wait, model)
         value = _flat(stage.value, model)
         assert np.array_equal(wait, ref["wait"])
@@ -134,10 +133,10 @@ def test_batched_solver_matches_scalar_path(name):
 def test_node_results_do_not_depend_on_chunk_size(monkeypatch):
     model, density = feature_model("affine_intensity_region_split_kernel")
     h = compute_h(model, GridSpec(density=density), tol=H_TOL, n_t=N_T)
-    table = value_iterate(model, h, n_max=2, eps=EPS, n_t=N_T)
+    table = value_iterate(model, h, n_max=2, eps=EPS)
     monkeypatch.setattr(operators, "CHUNK_ELEMENTS", 1)
     h_one = compute_h(model, GridSpec(density=density), tol=H_TOL, n_t=N_T)
-    one = value_iterate(model, h_one, n_max=2, eps=EPS, n_t=N_T)
+    one = value_iterate(model, h_one, n_max=2, eps=EPS)
     for m in model.mode_ids:
         assert np.array_equal(h_one.values[m], h.values[m])
     for got, want in zip(one.stages, table.stages):
@@ -229,7 +228,7 @@ def test_one_state_step_matches_value_iterate_at_every_node(name):
     operator), so it alone may differ, by rounding."""
     model, density = feature_model(name)
     h = compute_h(model, GridSpec(density=density), tol=H_TOL, n_t=N_T)
-    table = value_iterate(model, h, n_max=2, eps=EPS, n_t=N_T)
+    table = value_iterate(model, h, n_max=2, eps=EPS)
     for k, stage in enumerate(table.stages, start=1):
         w = table.value_store(k - 1)
         phi = [w.eval(y) for y in model.control_set]
@@ -272,5 +271,5 @@ def test_value_iterate_looks_up_the_curve_names_at_call_time(monkeypatch):
     monkeypatch.setattr(valuefn.JCurve, "at", counted(valuefn.JCurve.at, "at"))
     for key in ("FlowProfile", "JCurve"):
         monkeypatch.setattr(valuefn, key, counted(getattr(valuefn, key), key))
-    value_iterate(model, h, n_max=1, eps=EPS, n_t=N_T)
+    value_iterate(model, h, n_max=1, eps=EPS)
     assert all(count > 0 for count in calls.values()), calls

@@ -318,7 +318,7 @@ def region_split():
     model, density = feature_model("affine_intensity_region_split_kernel")
     spec = GridSpec(density=density, extra_points={1: ((7.0,),)})
     h = compute_h(model, spec, tol=1e-9, n_t=64)
-    return model, value_iterate(model, h, n_max=2, eps=0.01, n_t=64)
+    return model, value_iterate(model, h, n_max=2, eps=0.01)
 
 
 @pytest.mark.parametrize("n0", [0, 1, 2])

@@ -77,7 +77,7 @@ def test_planar_value_pipeline_and_simulation(planar_model):
     # documented 1e-6 horizon-truncation tail on top of the MC band.
     assert abs(costs.mean() - h.eval(x0)) < 5 * se + 2e-6
 
-    table = value_iterate(planar_model, h, n_max=1, eps=0.02, n_t=192)
+    table = value_iterate(planar_model, h, n_max=1, eps=0.02)
     res = policy_query(table, x0, 1, model=planar_model)
     assert res.branch in ("wait", "intervene")
     est = estimate_cost_J(x0, 1, table, planar_model, replicates=4000, seed=9)
@@ -123,7 +123,7 @@ def _planar_variant(planar_model, running: str, density: int):
     model = load_model(doc)
     spec = GridSpec(density=density, extra_points={1: ((3.0, 4.0),)})
     h = compute_h(model, spec, tol=1e-9, n_t=192)
-    return model, value_iterate(model, h, n_max=1, eps=0.02, n_t=192)
+    return model, value_iterate(model, h, n_max=1, eps=0.02)
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +178,7 @@ def test_planar_intervention_time_is_policy_query_r(request, variant):
 def test_planar_bad_start_point_rejected(planar_model, x0):
     spec = GridSpec(density=6)
     h = compute_h(planar_model, spec, tol=1e-9, n_t=64)
-    table = value_iterate(planar_model, h, n_max=1, eps=0.02, n_t=64)
+    table = value_iterate(planar_model, h, n_max=1, eps=0.02)
     for n0 in (0, 1):
         with pytest.raises(DomainError):
             estimate_cost_J(x0, n0, table, planar_model, replicates=10, seed=0)

@@ -346,15 +346,6 @@ def test_inf_J_rejects_bad_eps(rm1, eps):
         inf_J(rm1, one, zero, as_state(1, 2.0), eps=eps)
 
 
-@pytest.mark.parametrize("time_tol_rel", [math.nan, 0.0, -1.0, math.inf])
-def test_inf_J_rejects_bad_time_tolerance(rm1, time_tol_rel):
-    # A NaN tolerance once returned uninitialized memory; 0 and -1 never
-    # returned.
-    one, zero = ConstantEvaluable(1.0), ConstantEvaluable(0.0)
-    with pytest.raises(ModelParseError, match="time_tol_rel"):
-        inf_J(rm1, one, zero, as_state(1, 2.0), 0.01, time_tol_rel=time_tol_rel)
-
-
 def test_op_M_with_no_finite_restart_takes_the_first_index(rm1):
     assert op_M(rm1, [math.inf, math.inf], as_state(1, 2.0)) == (math.inf, 0)
 

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from pdmp_impulse import valuefn
+from pdmp_impulse.artifact import load_policy, save_policy
 from pdmp_impulse.dynamics import hit_time
 from pdmp_impulse.errors import (
     ExtrapolationError,
@@ -133,6 +135,12 @@ def test_h_nonconvergence_reports_contraction():
         compute_h(model, GridSpec(density=20), tol=1e-12, max_iter=3)
     with pytest.raises(NumericalError, match=estimate + "n/a$"):
         compute_h(model, GridSpec(density=20), tol=1e-12, max_iter=1)
+
+
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_compute_h_rejects_max_iter_below_one(rm1, max_iter):
+    with pytest.raises(ModelParseError, match="max_iter"):
+        compute_h(rm1, GridSpec(density=20), max_iter=max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +304,35 @@ def test_value_iterate_rejects_bad_arguments(rm1, rm1_h):
     for eps in (0.0, math.nan, math.inf):
         with pytest.raises(ModelParseError):
             value_iterate(rm1, rm1_h, n_max=1, eps=eps)
-    for time_tol_rel in (math.nan, 0.0, -1.0, math.inf):
-        with pytest.raises(ModelParseError, match="time_tol_rel"):
-            value_iterate(rm1, rm1_h, n_max=1, eps=0.01, time_tol_rel=time_tol_rel)
+
+
+def test_one_operator_per_solve(monkeypatch, rm1):
+    """compute_h assembles the grid operator; value_iterate applies it."""
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return grid_operator(*args, **kwargs)
+
+    grid_operator = valuefn.GridOperator
+    monkeypatch.setattr(valuefn, "GridOperator", counted)
+    h = compute_h(rm1, GridSpec(density=20), tol=1e-9)
+    value_iterate(rm1, h, n_max=2, eps=0.01)
+    value_iterate(rm1, h, n_max=2, eps=0.0001)
+    assert len(built) == 1
+
+
+def test_value_iterate_needs_the_operator_of_compute_h(
+        rm1, rm1_table, zero_running_table, tmp_path):
+    path = tmp_path / "policy.pdmpval"
+    save_policy(path, rm1_table)
+    loaded = load_policy(path, rm1)
+    assert loaded.h.operator is None and rm1_table.value_store(1).operator is None
+    with pytest.raises(ModelParseError, match="no grid operator"):
+        value_iterate(rm1, loaded.h, n_max=1, eps=0.01)
+    _table, h_zero_running = zero_running_table
+    with pytest.raises(ModelParseError, match="another model"):
+        value_iterate(rm1, h_zero_running, n_max=1, eps=0.01)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])

@@ -438,8 +438,9 @@ def simulate_uncontrolled(
 # --------------------------------------------------------------------------
 # Lockstep Monte Carlo
 
-BATCH_REPLICATES = 512
-"""Replicates that :func:`lockstep_costs` steps together over arrays.  No
+BATCH_REPLICATES = 2048
+"""Replicates that :func:`lockstep_costs` steps together over arrays; on rm1,
+2048 ran twice the paths/s of 512, and larger batches gained no more.  No
 result depends on it: every replicate keeps its own stream and arithmetic."""
 
 DRAW_BLOCK = 64
@@ -477,12 +478,11 @@ class ReplicateCosts:
 
 
 class _Streams:
-    """Uniform streams of one lockstep batch, held as arrays.
-
-    Row j belongs to replicate reps[j] and draws the doubles of
+    """Uniform streams of one lockstep batch, held as arrays and addressed by
+    slot: row j, never moved, draws the doubles of
     ``np.random.default_rng([*key, reps[j]])`` in blocks of DRAW_BLOCK, which
-    :mod:`.streams` computes for all spent rows at once from their PCG64
-    states.  Each row thus sees the stream the single-path simulator would.
+    :mod:`.streams` computes in place for all spent rows at once from their
+    PCG64 states.  Each row sees the stream the single-path simulator would.
     The first block of the first row is checked against numpy's own
     generator, so a numpy release that changes SeedSequence or PCG64 fails
     loudly instead of changing every estimate.
@@ -492,7 +492,7 @@ class _Streams:
         key = entropy_key(key)
         self.state, self.inc = seed_states(key, reps)
         self.buf = np.empty((reps.size, DRAW_BLOCK))
-        self.state = fill_block(self.state, self.inc, self.buf)
+        fill_block(self.state, self.inc, self.buf)
         self.cur = np.zeros(reps.size, dtype=np.int64)
         if reps.size:
             want = np.random.default_rng([*key, int(reps[0])]).random(DRAW_BLOCK)
@@ -502,22 +502,15 @@ class _Streams:
                     f"{np.__version__}; its SeedSequence or PCG64 has changed"
                 )
 
-    def draw(self, rows: np.ndarray) -> np.ndarray:
-        """The next uniform of each of the given rows."""
-        at = self.cur[rows]
+    def draw(self, slots: np.ndarray) -> np.ndarray:
+        """The next uniform of each of the given rows (distinct slots)."""
+        at = self.cur[slots]
         spent = at == DRAW_BLOCK
         if spent.any():
-            refill = rows[spent]
-            block = np.empty((refill.size, DRAW_BLOCK))
-            self.state[refill] = fill_block(self.state[refill], self.inc[refill], block)
-            self.buf[refill] = block
+            fill_block(self.state, self.inc, self.buf, slots[spent])
             at[spent] = 0
-        self.cur[rows] = at + 1
-        return self.buf[rows, at]
-
-    def keep(self, mask: np.ndarray) -> None:
-        self.state, self.inc = self.state[mask], self.inc[mask]
-        self.buf, self.cur = self.buf[mask], self.cur[mask]
+        self.cur[slots] = at + 1
+        return self.buf[slots, at]
 
 
 def lockstep_costs(model: PdmpModel, table, x0: StatePoint, budget: int, horizon: float,
@@ -527,10 +520,10 @@ def lockstep_costs(model: PdmpModel, table, x0: StatePoint, budget: int, horizon
     seed may also be a sequence of words, such as (seed, salt), for
     ``default_rng([seed, salt, r])``.
 
-    Batches of BATCH_REPLICATES paths step in lockstep over arrays of (mode,
-    position, budget, elapsed, running cost, fees, interventions); a path
-    leaves its batch once it is past the horizon with its budget spent, so at
-    horizon 0 it runs max(1, budget) jumps.  Each path makes the draws of the
+    Batches of BATCH_REPLICATES paths step in lockstep over arrays of (stream
+    slot, position, budget, elapsed, running cost, fees, interventions), kept
+    sorted by mode; a path leaves its batch once it is past the horizon with
+    its budget spent, so at horizon 0 it runs max(1, budget) jumps.  Each path makes the draws of the
     single-path loop in the same order (the sojourn, then the atom on a
     natural jump) with the same arithmetic, so it takes the same jumps and
     interventions and its costs agree to a few ulp (numpy's exp and log
@@ -549,27 +542,33 @@ def lockstep_costs(model: PdmpModel, table, x0: StatePoint, budget: int, horizon
     return out
 
 
+def _select(rows: slice, mask: np.ndarray):
+    """The rows of a slice where mask, taken over them, holds: the slice
+    itself when it holds on all of them, else their indices."""
+    return rows if mask.all() else rows.start + np.flatnonzero(mask)
+
+
 def _lockstep_batch(rt: _SimRuntime, table, x0: StatePoint, n0: int, horizon: float,
                     streams: _Streams, reps: np.ndarray, out: ReplicateCosts) -> None:
-    """Step the paths of replicates reps, drawing from streams, until each is
-    past the horizon with its budget spent; write their outcomes into out."""
+    """Step the paths of replicates reps, each drawing from its fixed slot of
+    streams, until each is past the horizon with its budget spent; write their
+    outcomes into out.  Live paths stay sorted by mode: a mode's rows are a slice."""
     model = rt.model
     alpha, flow, costs = model.discount, model.flow, model.costs
     n = reps.size
-    mode = np.full(n, x0.mode)
+    slot = np.arange(n)
     pos = np.tile(np.asarray(x0.zeta, dtype=float), (n, 1))
     budget = np.full(n, n0)
     elapsed = np.zeros(n)
     running = np.zeros(n)
     fees = np.zeros(n)
     count = np.zeros(n, dtype=np.int64)
+    groups = [(x0.mode, slice(0, n))]
     # Every live path jumps once per round, so the round count is each live
     # path's jump count.
     jumps = 0
-    while reps.size:
-        n = reps.size
-        groups = [(m, rows) for m in model.mode_ids
-                  if (rows := np.flatnonzero(mode == m)).size]
+    while slot.size:
+        n = slot.size
         cap = np.empty(n)
         for m, rows in groups:
             cap[rows] = flow.hit_times(m, pos[rows])
@@ -577,25 +576,23 @@ def _lockstep_batch(rt: _SimRuntime, table, x0: StatePoint, n0: int, horizon: fl
         y_idx = np.zeros(n, dtype=np.int64)
         if n0:
             for m, rows in groups:
-                rows = rows[budget[rows] > 0]
+                rows = rows.start + np.flatnonzero(budget[rows] > 0)
                 if rows.size:
                     wait, r, y = table.lookup_many(m, pos[rows], budget[rows])
                     plan = ~wait & (r < cap[rows])
-                    rows, r, y = rows[plan], r[plan], y[plan]
-                    intervene[rows] = True
-                    cap[rows] = r
-                    y_idx[rows] = y
+                    rows = rows[plan]
+                    intervene[rows], cap[rows], y_idx[rows] = True, r[plan], y[plan]
 
         # Sojourn truncated at the cap, as _SimRuntime.sample_sojourn.
-        u = streams.draw(np.arange(n))
+        u = streams.draw(slot)
         sojourn = np.zeros(n)
         cap_hit = cap <= 0.0
         pre = np.empty_like(pos)
         for m, rows in groups:
             if rt.lam_const[m] == 0.0 and np.isinf(cap[rows]).any():
-                j = rows[np.argmax(np.isinf(cap[rows]))]
+                j = rows.start + np.argmax(np.isinf(cap[rows]))
                 raise _never_exits(m, pos[j].tolist())
-            live = rows[~cap_hit[rows]]
+            live = _select(rows, ~cap_hit[rows])
             sojourn[live], cap_hit[live] = flow_sojourns(model, m, pos[live], cap[live], u[live])
             pre[rows] = flow.position(m, pos[rows], sojourn[rows])
 
@@ -603,7 +600,7 @@ def _lockstep_batch(rt: _SimRuntime, table, x0: StatePoint, n0: int, horizon: fl
         jump_time = elapsed + sojourn
         seg = np.where(jump_time < horizon, sojourn, np.maximum(horizon - elapsed, 0.0))
         for m, rows in groups:
-            rows = rows[seg[rows] > 0.0]
+            rows = _select(rows, seg[rows] > 0.0)
             f0 = rt.f_const[m]
             if f0 is None:
                 running[rows] += np.exp(-alpha * elapsed[rows]) * flow_running_cost(
@@ -612,37 +609,37 @@ def _lockstep_batch(rt: _SimRuntime, table, x0: StatePoint, n0: int, horizon: fl
                 running[rows] += (np.exp(-alpha * elapsed[rows]) * f0
                                   * (1.0 - np.exp(-alpha * seg[rows])) / alpha)
 
-        post_mode = np.empty_like(mode)
+        post_mode = np.empty(n, dtype=np.int64)
         post_pos = np.empty_like(pos)
         acted = intervene & cap_hit
         if acted.any():
-            rows = np.flatnonzero(acted)
-            if (y_idx[rows] < 0).any():
-                j = rows[np.argmax(y_idx[rows] < 0)]
-                raise PolicyCoverageError(
-                    f"intervention scheduled at (mode={mode[j]}, zeta={tuple(pos[j].tolist())}) "
-                    "with no restart"
-                )
             for m, group in groups:
-                group = group[acted[group]]
+                group = group.start + np.flatnonzero(acted[group])
+                if (y_idx[group] < 0).any():
+                    j = group[np.argmax(y_idx[group] < 0)]
+                    raise PolicyCoverageError(
+                        f"intervention scheduled at (mode={m}, zeta={tuple(pos[j].tolist())}) "
+                        "with no restart"
+                    )
                 for y in np.unique(y_idx[group]).tolist():
                     sel = group[y_idx[group] == y]
                     fee = costs.intervention_along(m, pre[sel], y)
                     fees[sel] += np.exp(-alpha * jump_time[sel]) * fee
+            rows = np.flatnonzero(acted)
             restarts = [table.control_set[y] for y in y_idx[rows].tolist()]
             post_mode[rows] = [y.mode for y in restarts]
             post_pos[rows] = [y.zeta for y in restarts]
             budget[rows] -= 1
-            out.tau[reps[rows], count[rows]] = jump_time[rows]
+            out.tau[reps[slot[rows]], count[rows]] = jump_time[rows]
             count[rows] += 1
 
         # Natural jumps draw their atom, as _SimRuntime.post_jump.
         natural = ~acted
         u_atom = np.empty(n)
-        u_atom[natural] = streams.draw(np.flatnonzero(natural))
+        u_atom[natural] = streams.draw(slot[natural])
         index = y_idx.copy()
         for m, rows in groups:
-            rows = rows[natural[rows]]
+            rows = _select(rows, natural[rows])
             static = rt.static[m]
             if static is None:
                 post_mode[rows], post_pos[rows], index[rows] = _draw_atoms(
@@ -650,9 +647,7 @@ def _lockstep_batch(rt: _SimRuntime, table, x0: StatePoint, n0: int, horizon: fl
                 continue
             k = np.minimum(np.searchsorted(static.cdf_array, u_atom[rows], side="right"),
                            static.cdf_array.size - 1)
-            post_mode[rows] = static.modes[k]
-            post_pos[rows] = static.positions[k]
-            index[rows] = k
+            post_mode[rows], post_pos[rows], index[rows] = static.modes[k], static.positions[k], k
         budget[natural] = np.maximum(budget[natural] - 1, 0)
         if not jumps:
             # Every path is live in the first round, in replicate order.
@@ -660,20 +655,22 @@ def _lockstep_batch(rt: _SimRuntime, table, x0: StatePoint, n0: int, horizon: fl
             for name, value in zip(out.first.dtype.names, step):
                 out.first[name][reps] = value
 
-        mode, pos, elapsed = post_mode, post_pos, jump_time
         jumps += 1
         if jumps > MAX_JUMPS:
             raise NumericalError(
                 f"more than {MAX_JUMPS} jumps; the model looks numerically explosive"
             )
-        done = (elapsed >= horizon) & (budget == 0)
-        if done.any():
-            idx = reps[done]
-            out.running[idx] = running[done]
-            out.fees[idx] = fees[done]
-            out.interventions[idx] = count[done]
-            out.jumps[idx] = jumps
-            keep = ~done
-            reps, mode, pos, budget, elapsed, running, fees, count = (
-                a[keep] for a in (reps, mode, pos, budget, elapsed, running, fees, count))
-            streams.keep(keep)
+        finished = (jump_time >= horizon) & (budget == 0)
+        done = np.flatnonzero(finished)
+        idx = reps[slot[done]]
+        out.running[idx], out.fees[idx] = running[done], fees[done]
+        out.interventions[idx], out.jumps[idx] = count[done], jumps
+        # One gather drops the finished paths and makes each mode's rows a
+        # slice again.
+        order = [np.flatnonzero(~finished & (post_mode == m)) for m in model.mode_ids]
+        ends = np.cumsum([rows.size for rows in order]).tolist()
+        groups = [(m, slice(end - rows.size, end))
+                  for m, rows, end in zip(model.mode_ids, order, ends) if rows.size]
+        order = np.concatenate(order)
+        slot, pos, budget, elapsed, running, fees, count = (
+            a[order] for a in (slot, post_pos, budget, jump_time, running, fees, count))

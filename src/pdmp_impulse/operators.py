@@ -47,11 +47,10 @@ TIME_TOL_REL = 1e-6  # time tolerance of the curve searches, relative to t*
 
 
 class FunctionEvaluable:
-    """Wrap a plain callable on StatePoint as an evaluable with a sup bound."""
+    """Wrap a plain callable on StatePoint as an evaluable."""
 
-    def __init__(self, fn: Callable[[StatePoint], float], bound: float):
+    def __init__(self, fn: Callable[[StatePoint], float]):
         self._fn = fn
-        self.bound = float(bound)
 
     def eval(self, x: StatePoint) -> float:
         return float(self._fn(x))

@@ -38,8 +38,9 @@ MIX_MULT_R = 0x4973F715
 
 PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
-CHUNK_COLUMNS = 16
-"""Block columns computed at once, so each temporary holds 16 words per row."""
+CHUNK_ELEMENTS = 8192
+"""Elements of each temporary array while streams are seeded and filled, in row
+slices of CHUNK_ELEMENTS // width (one row at least) at any batch size."""
 
 
 def _words(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,16 +155,18 @@ def seed_states(seed, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Beyond POOL_SIZE entropy words a missing word is not a zero word, so
     # rows are seeded per word count of r.
     for n in np.unique(count).tolist():
-        rows = np.flatnonzero(count == n)
-        entropy = [np.full(rows.size, w, dtype=np.uint32) for w in seed_words]
-        entropy += [words[rows, i] for i in range(n)]
-        init_hi, init_lo, seq_hi, seq_lo = _generate_state(_pool(entropy))
-        # pcg_setseq_128_srandom_r: state 0, one step, add initstate, one step.
-        ih, il = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
-        sh, sl = _add(ih, il, init_hi, init_lo)
-        sh, sl = _add(*_mul(sh, sl, mult_hi, mult_lo), ih, il)
-        state[rows, 0], state[rows, 1] = sh, sl
-        inc[rows, 0], inc[rows, 1] = ih, il
+        same = np.flatnonzero(count == n)
+        for first in range(0, same.size, CHUNK_ELEMENTS):
+            rows = same[first:first + CHUNK_ELEMENTS]
+            entropy = [np.full(rows.size, w, dtype=np.uint32) for w in seed_words]
+            entropy += [words[rows, i] for i in range(n)]
+            init_hi, init_lo, seq_hi, seq_lo = _generate_state(_pool(entropy))
+            # pcg_setseq_128_srandom_r: state 0, one step, add initstate, one step.
+            ih, il = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
+            sh, sl = _add(ih, il, init_hi, init_lo)
+            sh, sl = _add(*_mul(sh, sl, mult_hi, mult_lo), ih, il)
+            state[rows, 0], state[rows, 1] = sh, sl
+            inc[rows, 0], inc[rows, 1] = ih, il
     return state, inc
 
 
@@ -175,15 +178,14 @@ def _doubles(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return (x >> 11) * 2.0 ** -53
 
 
-def fill_block(state: np.ndarray, inc: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the next out.shape[1] doubles of every row into out and return
-    the states after them."""
+def fill_block(state: np.ndarray, inc: np.ndarray, out: np.ndarray, rows=slice(None)) -> None:
+    """Write the next out.shape[1] doubles of the given rows (all by default)
+    into out, and advance their states in place."""
     a_hi, a_lo, c_hi, c_lo = _jump_table(out.shape[1])
-    sh, sl = state[:, :1], state[:, 1:]
-    ih, il = inc[:, :1], inc[:, 1:]
-    for first in range(0, out.shape[1], CHUNK_COLUMNS):
-        cols = slice(first, first + CHUNK_COLUMNS)
-        hi, lo = _add(*_mul(sh, sl, a_hi[cols], a_lo[cols]),
-                      *_mul(ih, il, c_hi[cols], c_lo[cols]))
-        out[:, cols] = _doubles(hi, lo)
-    return np.stack([hi[:, -1], lo[:, -1]], axis=1)
+    rows, step = np.arange(out.shape[0])[rows], max(1, CHUNK_ELEMENTS // out.shape[1])
+    for first in range(0, rows.size, step):
+        r = rows[first:first + step]
+        hi, lo = _add(*_mul(state[r, :1], state[r, 1:], a_hi, a_lo),
+                      *_mul(inc[r, :1], inc[r, 1:], c_hi, c_lo))
+        out[r] = _doubles(hi, lo)
+        state[r, 0], state[r, 1] = hi[:, -1], lo[:, -1]

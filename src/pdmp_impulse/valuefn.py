@@ -515,7 +515,7 @@ def eval_Vk_exact(model: PdmpModel, h: FunctionStore, k: int, x: StatePoint,
             raise ResourceBudgetError(
                 f"exact recursion exceeded its evaluation budget ({budget})"
             )
-        w = FunctionEvaluable(lambda p: recurse(level - 1, p), bound=np.inf)
+        w = FunctionEvaluable(lambda p: recurse(level - 1, p))
         value = op_Lscript(model, w, point, eps, n_t).value
         memo[key] = value
         return value

@@ -318,7 +318,7 @@ def exact_value(model: PdmpModel, h, k: int, x: StatePoint, eps: float,
             return h.eval(point)
         key = (level, point.mode, tuple(round(z / 1e-9) for z in point.zeta))
         if key not in memo:
-            w = FunctionEvaluable(lambda p: recurse(level - 1, p), bound=np.inf)
+            w = FunctionEvaluable(lambda p: recurse(level - 1, p))
             memo[key] = lscript(model, w, point, eps, n_t).value
         return memo[key]
 

@@ -37,6 +37,8 @@ from conftest import FEATURE_MODELS, MODEL_PATH, feature_model
 EPS = 0.01
 N_T = 64
 REL_TOL = 1e-12
+BATCH_MODELS = ("rm1", "exponential_decay", "affine_intensity_region_split_kernel",
+                "planar_intervening")
 
 
 def _start(model):
@@ -177,15 +179,19 @@ def test_array_claim_draws_the_scalar_claim_atoms(name):
                 (atoms[j][0].mode, atoms[j][0].zeta, j), (mode, pre[k])
 
 
-@pytest.mark.parametrize("batch", [1, 7])
-def test_estimates_do_not_depend_on_the_batch_size(solved, monkeypatch, batch):
+@pytest.mark.parametrize("batch, names, replicates", [
+    pytest.param(1, BATCH_MODELS, 40, id="1"),
+    pytest.param(7, BATCH_MODELS, 40, id="7"),
+    # More than one batch at the default size, each filled in several row slices.
+    pytest.param(7, ("rm1",), 2 * dynamics.BATCH_REPLICATES + 5, id="7-spanning"),
+])
+def test_estimates_do_not_depend_on_the_batch_size(solved, monkeypatch, batch, names,
+                                                   replicates):
     runs = []
     for size in (dynamics.BATCH_REPLICATES, batch):
         monkeypatch.setattr(dynamics, "BATCH_REPLICATES", size)
-        runs.append([estimate_cost_J(x0, n0, table, model, replicates=40, seed=5)
-                     for model, table, x0 in map(solved, ("rm1", "exponential_decay",
-                                                          "affine_intensity_region_split_kernel",
-                                                          "planar_intervening"))
+        runs.append([estimate_cost_J(x0, n0, table, model, replicates=replicates, seed=5)
+                     for model, table, x0 in map(solved, names)
                      for n0 in (0, 2)])
     for want, got in zip(*runs):
         assert got == want

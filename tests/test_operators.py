@@ -65,12 +65,12 @@ def test_Qw_probability_normalization(rm1):
 
 
 def test_Qw_mode_indicator(rm1):
-    ind = FunctionEvaluable(lambda p: 1.0 if p.mode == 2 else 0.0, bound=1.0)
+    ind = FunctionEvaluable(lambda p: 1.0 if p.mode == 2 else 0.0)
     assert op_Qw(rm1, ind, as_state(1, 7.0)) == 1.0
 
 
 def test_Qw_position_at_boundary_prejump(rm1):
-    pos = FunctionEvaluable(lambda p: p.zeta[0], bound=10.0)
+    pos = FunctionEvaluable(lambda p: p.zeta[0])
     assert op_Qw(rm1, pos, as_state(2, 0.0)) == 5.0
 
 
@@ -317,7 +317,7 @@ def test_J_curve_continuity_refinement(rm1, rm1_h):
 def test_K_equals_J_with_boundary_kernel_value(rm1, rm1_h):
     for x in (as_state(1, 2.0), as_state(2, 4.0), as_state(1, 8.5)):
         ts = hit_time(rm1, x)
-        v = FunctionEvaluable(lambda p: op_Qw(rm1, rm1_h, p), bound=rm1_h.bound)
+        v = FunctionEvaluable(lambda p: op_Qw(rm1, rm1_h, p))
         lhs = op_K(rm1, rm1_h, x)
         rhs = op_J(rm1, v, rm1_h, x, ts)
         assert lhs == pytest.approx(rhs, abs=1e-9)

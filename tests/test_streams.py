@@ -7,10 +7,12 @@ the seed's and r's word counts, the block width or the order in which rows
 refill.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from pdmp_impulse import dynamics
+from pdmp_impulse import dynamics, streams
 from pdmp_impulse.controlled import estimate_cost_J
 from pdmp_impulse.dynamics import _Streams, lockstep_costs
 from pdmp_impulse.errors import DomainError, NumericalError
@@ -44,17 +46,39 @@ def test_rows_draw_the_default_rng_stream(seed):
         assert np.array_equal(np.array(got).view(np.uint64), want), rep
 
 
-def test_streams_survive_keep():
-    streams = _Streams(3, REPS)
-    streams.draw(np.arange(REPS.size))
-    mask = np.array([True, False, True, True, False, True, False])
-    streams.keep(mask)
-    kept = REPS[mask]
-    got = [streams.draw(np.arange(kept.size)) for _ in range(2 * dynamics.DRAW_BLOCK)]
-    got = np.stack(got, axis=1)
-    for row, rep in enumerate(kept):
-        want = _reference(3, rep, 2 * dynamics.DRAW_BLOCK + 1)[1:]
-        assert np.array_equal(got[row].view(np.uint64), want)
+def test_streams_draw_through_shrinking_slots():
+    """Rows are addressed by slot and never moved: drawing through a shrinking,
+    reordered subset of slots, beyond one seeding slice and with two word
+    counts of r, gives each row its own default_rng([seed, r]) prefix."""
+    reps = np.concatenate([np.arange(streams.CHUNK_ELEMENTS + 3), REPS[4:]])
+    stream = _Streams(3, reps)
+    got = np.empty((reps.size, 4 * dynamics.DRAW_BLOCK))
+    drawn = np.zeros(reps.size, dtype=np.int64)
+    rng = np.random.default_rng(12)
+    live = np.arange(reps.size)
+    for _ in range(2 * dynamics.DRAW_BLOCK):
+        # One draw for every live slot and a second for some, as a lockstep round.
+        for slots in (rng.permutation(live), live[rng.random(live.size) < 0.5]):
+            got[slots, drawn[slots]] = stream.draw(slots)
+            drawn[slots] += 1
+        live = live[rng.random(live.size) < 0.99]
+    assert live.size and drawn.max() > 2 * dynamics.DRAW_BLOCK
+    for row, rep in enumerate(reps):
+        assert np.array_equal(got[row, :drawn[row]].view(np.uint64),
+                              _reference(3, rep, drawn[row])), rep
+
+
+def test_seeding_memory_does_not_grow_with_the_batch():
+    """Seeding and the first block run over row slices, so at 8192 rows the
+    traced peak exceeds what the streams hold by at most 2 MiB."""
+    tracemalloc.start()
+    try:
+        stream = _Streams(0, np.arange(8192))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stream.buf.shape == (8192, dynamics.DRAW_BLOCK)
+    assert peak - held <= 2 * 2**20, (held, peak)
 
 
 def test_block_width_follows_draw_block(monkeypatch):
@@ -73,13 +97,13 @@ def test_replicates_of_any_word_count():
     for salt in ((), (0,), (1,), (2**32,), (2**70 + 9,), (3, 2**40)):
         for seed in (0, 2**40 + 3, 2**100):
             state, inc = seed_states((seed, *salt), reps)
+            if not salt:
+                assert np.array_equal(seed_states(seed, reps)[0], state)
             out = np.empty((reps.size, 5))
             fill_block(state, inc, out)
             for row, rep in enumerate(reps):
                 assert np.array_equal(out[row].view(np.uint64),
                                       _reference(seed, rep, 5, salt)), (seed, salt, rep)
-            if not salt:
-                assert np.array_equal(seed_states(seed, reps)[0], state)
 
 
 def test_negative_seed_or_replicate_is_a_domain_error():

@@ -121,7 +121,7 @@ def cmd_compute_value(args) -> int:
     if args.nmax < 1:
         raise ModelParseError(f"--nmax must be at least 1, got {args.nmax}")
     spec = _grid_spec_from_args(args, starts)
-    h = compute_h(model, spec, tol=args.h_tol)
+    h = compute_h(model, spec)
     table = value_iterate(model, h, n_max=args.nmax, eps=args.eps)
     table.grid_spec = {"density": args.grid, "eps": args.eps, "nmax": args.nmax}
     out_dir = Path(args.out)
@@ -306,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("--eps", type=float, default=0.01)
     p_cv.add_argument("--nmax", type=int, default=3)
     p_cv.add_argument("--grid", type=int, default=200, help="nodes per mode axis")
-    p_cv.add_argument("--h-tol", type=float, default=1e-8)
     p_cv.add_argument("--x0", action="append",
                       help="start point MODE:Z1[,Z2...]; pinned as grid node")
     p_cv.add_argument("--check-sandwich", action="store_true",

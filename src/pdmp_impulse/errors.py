@@ -40,7 +40,7 @@ class ExtrapolationError(PdmpError):
 
 
 class NumericalError(PdmpError):
-    """An iterative numerical procedure failed to converge."""
+    """A numerical procedure failed or gave a non-finite result."""
 
 
 class ResourceBudgetError(PdmpError):

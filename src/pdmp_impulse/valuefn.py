@@ -1,12 +1,13 @@
 """No-impulse cost, approximate value functions, and policy fields.
 
-The no-impulse cost h is the fixed point of the waiting-value operator and is
-computed by iterating its grid discretization (a nonnegative linear map, so
-the iteration contracts geometrically under discounting).  The budgeted value
-functions V_k then follow the single-jump-or-intervention recursion: at every
-grid node the strictly cheaper of "wait for the natural jump" and "intervene
-at the eps-threshold time" is recorded together with the intervention time
-and restart target.  Each stage runs the one step of the operators module,
+The no-impulse cost h is the fixed point of the waiting-value operator.  On
+the grid it is the exact solution of (I - B) h = F, found by one sparse LU;
+no tolerance is needed, because every row of the nonnegative matrix B sums
+to an expected jump discount below one.  The budgeted value functions V_k
+then follow the single-jump-or-intervention recursion: at every grid node
+the strictly cheaper of "wait for the natural jump" and "intervene at the
+eps-threshold time" is recorded together with the intervention time and
+restart target.  Each stage runs the one step of the operators module,
 :func:`~.operators.jump_or_intervene`, over chunks of nodes, with waiting
 values from one application of the grid operator that :func:`compute_h`
 built and kept on h: one discretization per solve.
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.linalg
 
 from .errors import (
     ExtrapolationError,
@@ -80,8 +82,8 @@ def _coverage_box(lo, hi) -> tuple[np.ndarray, np.ndarray]:
 
 
 class FunctionStore:
-    """Evaluable function on the state space: per-mode grids, multilinear
-    interpolation, and a sup-norm bound.
+    """Evaluable function on the state space: per-mode grids and multilinear
+    interpolation.
 
     Queries may fall in the thin margin between the outermost nodes and the
     region boundary (linear extrapolation); anything beyond the closure raises
@@ -101,7 +103,6 @@ class FunctionStore:
         for m, v in self.values.items():
             if not np.all(np.isfinite(v)):
                 raise NumericalError(f"non-finite stored values in mode {m}")
-        self.bound = max(float(np.max(np.abs(v))) for v in self.values.values())
         self.operator: GridOperator | None = None
 
     def locate(self, mode: int, pos: np.ndarray):
@@ -278,36 +279,20 @@ class GridOperator:
 
 
 def compute_h(model: PdmpModel, store_spec: GridSpec | None = None,
-              tol: float = 1e-8, max_iter: int = 10_000,
               n_t: int = 512) -> FunctionStore:
-    """No-impulse cost on a grid, as the fixed point of the waiting operator.
+    """No-impulse cost on a grid: the exact solution of the grid system
+    (I - B) h = F of the waiting operator, found by one sparse LU.
 
-    Iterates w <- F + B w from zero until the sup-node increment falls below
-    tol * (1 + sup |w|); convergence is geometric because the expected jump
-    discount is strictly below one.  The store keeps the operator.
+    No tolerance is needed: every row of B sums to an expected jump discount
+    below one, so I - B is strictly diagonally dominant and nonsingular.  The
+    store keeps the operator.
     """
-    check_positive(tol, "h tolerance")
-    if max_iter < 1:
-        raise ModelParseError(f"max_iter must be at least 1; got {max_iter}")
     spec = store_spec or GridSpec()
-    axes = spec.build_axes(model)
-    gop = GridOperator(model, axes, n_t=n_t)
-    vec = np.zeros(gop.size)
-    last = before = None
-    for _ in range(max_iter):
-        nxt = gop.apply(vec)
-        gap = float(np.max(np.abs(nxt - vec)))
-        vec = nxt
-        if gap <= tol * (1.0 + float(np.max(np.abs(vec)))):
-            h = gop.to_store(vec)
-            h.operator = gop
-            return h
-        last, before = gap, last
-    ratio = "n/a" if before is None else f"{last / before:.6f}"
-    raise NumericalError(
-        f"fixed-point iteration did not converge in {max_iter} steps; last increment "
-        f"{last!r}, contraction estimate (last over previous increment) {ratio}"
-    )
+    gop = GridOperator(model, spec.build_axes(model), n_t=n_t)
+    system = scipy.sparse.identity(gop.size, format="csc") - gop.matrix.tocsc()
+    h = gop.to_store(scipy.sparse.linalg.spsolve(system, gop.offset_vec))
+    h.operator = gop
+    return h
 
 
 @dataclass(eq=False)

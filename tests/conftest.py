@@ -152,7 +152,7 @@ def cycle_model():
 
 @pytest.fixture(scope="session")
 def rm1_h(rm1):
-    return compute_h(rm1, GridSpec(density=200, extra_points=PINNED), tol=1e-9)
+    return compute_h(rm1, GridSpec(density=200, extra_points=PINNED))
 
 
 @pytest.fixture(scope="session")
@@ -162,11 +162,11 @@ def rm1_table(rm1, rm1_h):
 
 @pytest.fixture(scope="session")
 def zero_running_table(rm1_zero_running):
-    h0 = compute_h(rm1_zero_running, GridSpec(density=60), tol=1e-10)
+    h0 = compute_h(rm1_zero_running, GridSpec(density=60))
     return value_iterate(rm1_zero_running, h0, n_max=2, eps=0.01), h0
 
 
 @pytest.fixture(scope="session")
 def zero_intensity_table(rm1_zero_intensity):
-    h0 = compute_h(rm1_zero_intensity, GridSpec(density=80), tol=1e-10)
+    h0 = compute_h(rm1_zero_intensity, GridSpec(density=80))
     return value_iterate(rm1_zero_intensity, h0, n_max=2, eps=0.01), h0

@@ -47,9 +47,9 @@ def report(index: int, passed: bool, detail: str) -> None:
 
 def test_criterion_01_fixed_point_residual(rm1):
     t0 = time.monotonic()
-    h = compute_h(rm1, GridSpec(density=200, extra_points=PINNED), tol=1e-8)
+    h = compute_h(rm1, GridSpec(density=200, extra_points=PINNED))
     build_seconds = time.monotonic() - t0
-    sup_h = h.bound
+    sup_h = max(float(np.max(np.abs(v))) for v in h.values.values())
     worst = 0.0
     for mode in (1, 2):
         axis = h.axes[mode][0]

@@ -56,7 +56,7 @@ def solved():
             model, density = feature_model(name)
             x0 = _start(model)
             spec = GridSpec(density=density, extra_points={x0.mode: (x0.zeta,)})
-            h = compute_h(model, spec, tol=1e-9, n_t=N_T)
+            h = compute_h(model, spec, n_t=N_T)
             cache[name] = model, value_iterate(model, h, n_max=2, eps=EPS), x0
         return cache[name]
 

@@ -35,7 +35,6 @@ from oracle import (FlowProfile, JCurve, _first_entry, _golden_min, _inf_from_cu
 
 N_T = 64
 EPS = 0.01
-H_TOL = 1e-10
 
 
 def _nodes(model, axes):
@@ -66,14 +65,8 @@ def dense_operator(model, axes, n_t):
     return running, matrix
 
 
-def dense_fixed_point(running, matrix, tol):
-    vec = np.zeros(running.size)
-    while True:
-        nxt = running + matrix @ vec
-        gap = float(np.max(np.abs(nxt - vec)))
-        vec = nxt
-        if gap <= tol * (1.0 + float(np.max(np.abs(vec)))):
-            return vec
+def dense_fixed_point(running, matrix):
+    return np.linalg.solve(np.eye(running.size) - matrix, running)
 
 
 def scalar_stage(model, gop, prev_vec, eps, n_t):
@@ -105,14 +98,14 @@ def _flat(stage_field, model):
 @pytest.mark.parametrize("name", FEATURE_MODELS)
 def test_batched_solver_matches_scalar_path(name):
     model, density = feature_model(name)
-    h = compute_h(model, GridSpec(density=density), tol=H_TOL, n_t=N_T)
+    h = compute_h(model, GridSpec(density=density), n_t=N_T)
     running, matrix = dense_operator(model, h.axes, N_T)
     gop = h.operator
     assert np.array_equal(gop.offset_vec, running)
     assert np.allclose(gop.matrix.toarray(), matrix, rtol=1e-12, atol=1e-15)
 
     h_vec = _flat(h.values, model)
-    h_ref = dense_fixed_point(running, matrix, H_TOL)
+    h_ref = dense_fixed_point(running, matrix)
     assert np.all(np.abs(h_vec - h_ref) <= 1e-12 * np.maximum(1.0, np.abs(h_ref)))
 
     table = value_iterate(model, h, n_max=2, eps=EPS)
@@ -132,10 +125,10 @@ def test_batched_solver_matches_scalar_path(name):
 
 def test_node_results_do_not_depend_on_chunk_size(monkeypatch):
     model, density = feature_model("affine_intensity_region_split_kernel")
-    h = compute_h(model, GridSpec(density=density), tol=H_TOL, n_t=N_T)
+    h = compute_h(model, GridSpec(density=density), n_t=N_T)
     table = value_iterate(model, h, n_max=2, eps=EPS)
     monkeypatch.setattr(operators, "CHUNK_ELEMENTS", 1)
-    h_one = compute_h(model, GridSpec(density=density), tol=H_TOL, n_t=N_T)
+    h_one = compute_h(model, GridSpec(density=density), n_t=N_T)
     one = value_iterate(model, h_one, n_max=2, eps=EPS)
     for m in model.mode_ids:
         assert np.array_equal(h_one.values[m], h.values[m])
@@ -201,7 +194,7 @@ def _interior_points(model, mode, count=10):
 @pytest.mark.parametrize("name", FEATURE_MODELS)
 def test_one_state_entries_match_the_scalar_oracle(name):
     model, density = feature_model(name)
-    h = compute_h(model, GridSpec(density=density), tol=H_TOL, n_t=N_T)
+    h = compute_h(model, GridSpec(density=density), n_t=N_T)
     reloc = MinRelocationValue(model, [h.eval(y) for y in model.control_set])
     for m in model.mode_ids:
         for x in _interior_points(model, m):
@@ -227,7 +220,7 @@ def test_one_state_step_matches_value_iterate_at_every_node(name):
     value comes from elsewhere (the one-state curve against the grid
     operator), so it alone may differ, by rounding."""
     model, density = feature_model(name)
-    h = compute_h(model, GridSpec(density=density), tol=H_TOL, n_t=N_T)
+    h = compute_h(model, GridSpec(density=density), n_t=N_T)
     table = value_iterate(model, h, n_max=2, eps=EPS)
     for k, stage in enumerate(table.stages, start=1):
         w = table.value_store(k - 1)
@@ -259,7 +252,7 @@ def test_exact_recursion_matches_the_scalar_oracle(rm1, rm1_h):
 def test_value_iterate_looks_up_the_curve_names_at_call_time(monkeypatch):
     # The bench traces the solver by replacing these names with wrappers.
     model, density = feature_model("rm1")
-    h = compute_h(model, GridSpec(density=density), tol=H_TOL, n_t=N_T)
+    h = compute_h(model, GridSpec(density=density), n_t=N_T)
     calls = dict.fromkeys(("FlowProfile", "JCurve", "at"), 0)
 
     def counted(fn, key):

@@ -78,12 +78,11 @@ def test_compute_value_outputs(cli_workspace):
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--eps", "nan"), ("--eps", "inf"), ("--h-tol", "nan"), ("--h-tol", "0"), ("--nmax", "0"),
+    ("--eps", "nan"), ("--eps", "inf"), ("--nmax", "0"),
 ])
 def test_compute_value_rejects_non_finite_tolerances(tmp_path, monkeypatch, flag, value):
-    if flag != "--h-tol":
-        # --eps and --nmax are checked before the h solve.
-        monkeypatch.setattr(cli, "compute_h", None)
+    # --eps and --nmax are checked before the h solve.
+    monkeypatch.setattr(cli, "compute_h", None)
     code = run_cli("compute-value", "--model", MODEL_PATH, "--out", tmp_path,
                    "--nmax", "1", "--grid", "20", flag, value)
     assert code == 2

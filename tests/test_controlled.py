@@ -317,7 +317,7 @@ def _first_step_tally(model, table, x0, n0, seed, replicates):
 def region_split():
     model, density = feature_model("affine_intensity_region_split_kernel")
     spec = GridSpec(density=density, extra_points={1: ((7.0,),)})
-    h = compute_h(model, spec, tol=1e-9, n_t=64)
+    h = compute_h(model, spec, n_t=64)
     return model, value_iterate(model, h, n_max=2, eps=0.01)
 
 
@@ -469,7 +469,7 @@ def test_joint_law_affine_intensity_region_split_kernel():
                    {"mode": 2, "zeta": ["8.0"], "prob": 0.4}]},
     ] + [e for e in doc["kernel"] if e["from_mode"] == 2]
     model = load_model(doc)
-    h = compute_h(model, GridSpec(density=60, extra_points={1: ((7.0,),)}), tol=1e-9)
+    h = compute_h(model, GridSpec(density=60, extra_points={1: ((7.0,),)}))
     table = value_iterate(model, h, n_max=1, eps=0.01)
     x0 = as_state(1, 7.0)  # the flow crosses the kernel split at 5.0
     for n0, seed in ((0, 11), (1, 12)):

@@ -251,7 +251,7 @@ def cmd_report(args) -> int:
             prev = table.value_store(k - 1)
             phi = [prev.eval(y) for y in table.control_set]
             reloc = MinRelocationValue(model, phi)
-            curve = JCurve(state_profile(model, x0, 512), reloc, prev)
+            curve = JCurve(state_profile(model, x0), reloc, prev)
             name = f"j_profile_k{k}_m{x0.mode}_" + "_".join(
                 str(z) for z in x0.zeta
             ) + ".csv"
@@ -294,10 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--model", required=True, help="model JSON file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="master RNG seed")
 
     p_val = sub.add_parser("validate", help="check model assumptions")
     common(p_val)
+    p_val.add_argument("--seed", type=int, default=0, help="master RNG seed")
     p_val.add_argument("--grid-density", type=int, default=50)
     p_val.set_defaults(func=cmd_validate)
 
@@ -314,6 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo strategy-cost estimates")
     common(p_sim)
+    p_sim.add_argument("--seed", type=int, default=0, help="master RNG seed")
     p_sim.add_argument("--artifact", help="policy artifact (default <out>/policy.pdmpval)")
     p_sim.add_argument("--x0", action="append", required=True)
     p_sim.add_argument("--n0", default="0", help="comma-separated budgets")
@@ -335,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag, value in (("--seed", args.seed),
+    for flag, value in (("--seed", getattr(args, "seed", 0)),
                         ("--dump-trajectories", getattr(args, "dump_trajectories", 0))):
         if value < 0:
             print(f"error: {flag} must be non-negative, got {value}", file=sys.stderr)

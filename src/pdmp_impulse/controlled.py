@@ -206,7 +206,6 @@ def simulate_controlled(
     model: PdmpModel,
     rng: np.random.Generator,
     horizon: float | None = None,
-    collect_events: bool = True,
 ) -> ControlledTrajectory:
     """Run the strategy with initial budget n0 from x0 and accumulate costs.
 
@@ -218,7 +217,7 @@ def simulate_controlled(
     if horizon is None:
         horizon = default_horizon(model)
     running, fees, interventions, steps = _run_path(model, table, x0, n0, horizon, rng,
-                                                    collect_events)
+                                                    collect_events=True)
     return ControlledTrajectory(
         start=AugmentedState(x0.mode, x0.zeta, n0, 0.0),
         events=tuple(

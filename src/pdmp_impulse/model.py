@@ -73,12 +73,6 @@ class ModeRegion:
     def contains_interior(self, zeta: Sequence[float]) -> bool:
         return all(lo < z < hi for z, lo, hi in zip(zeta, self.lower, self.upper))
 
-    def contains_closure(self, zeta: Sequence[float], slack: float = 0.0) -> bool:
-        return all(
-            lo - slack <= z <= hi + slack
-            for z, lo, hi in zip(zeta, self.lower, self.upper)
-        )
-
 
 _SCALAR_OPS = SimpleNamespace(exp=math.exp, log=math.log, copysign=math.copysign, maximum=max)
 """The numpy functions that the flow formulas use, for Python floats."""
@@ -366,11 +360,6 @@ class PdmpModel:
         cols = [pos[:, i] for i in range(pos.shape[1])]
         return np.broadcast_to(self.intensity[mode]({"zeta": cols}), (pos.shape[0],)).astype(float)
 
-    def require_mode(self, mode: int) -> ModeRegion:
-        if mode not in self.modes:
-            raise ModelParseError(f"unknown mode {mode}")
-        return self.modes[mode]
-
 
 def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -645,7 +634,7 @@ def _validation_points(model: PdmpModel, mode: int, density: int,
 
 
 def validate_model(model: PdmpModel, grid_density: int = 50,
-                   rng_seed: int = 0, raise_on_failure: bool = False) -> ValidationReport:
+                   rng_seed: int = 0) -> ValidationReport:
     """Check the model assumptions on a sampled grid and report pass/fail.
 
     Hard invariants (bounded exit time, interior kernel atoms, cost bounds and
@@ -871,8 +860,4 @@ def validate_model(model: PdmpModel, grid_density: int = 50,
         )
     )
 
-    report = ValidationReport(checks, constants)
-    if raise_on_failure and not report.passed:
-        first = next(c for c in report.checks if not c.passed)
-        raise ModelValidationError(f"{first.name}: {first.detail}", witness=first.witness)
-    return report
+    return ValidationReport(checks, constants)

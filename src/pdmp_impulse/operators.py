@@ -17,8 +17,10 @@ single-jump-or-intervention step on them: ``valuefn.value_iterate`` runs it
 over chunks of grid nodes, with waiting values from the grid operator, and
 :func:`op_Lscript` over one state, with the waiting value from
 :meth:`JCurve.wait_value`; :func:`inf_J` minimizes one state's curve.  The
-one-off :func:`op_F`, :func:`op_K` and :func:`op_J` stay adaptive quadrature
-(relative tolerance 1e-10), as oracles.
+grid solve, these one-state operators and ``valuefn.eval_Vk_exact`` lay
+every flow on the one uniform time grid of FLOW_TIME_NODES points, so they
+share one discretization.  The one-off :func:`op_F`, :func:`op_K` and
+:func:`op_J` stay adaptive quadrature (relative tolerance 1e-10), as oracles.
 
 Rates and costs are read in their one array form, on rows of positions:
 ``intensity_along``, ``running_along`` and ``intervention_along``.
@@ -44,6 +46,8 @@ BRANCH_INTERVENE = "intervene"
 GOLDEN_RATIO_STEP = 0.5 * (3.0 - math.sqrt(5.0))
 
 TIME_TOL_REL = 1e-6  # time tolerance of the curve searches, relative to t*
+
+FLOW_TIME_NODES = 512  # points of the one uniform time grid over [0, t*] of every flow
 
 
 class FunctionEvaluable:
@@ -236,11 +240,11 @@ class FlowProfile:
         return self.model.costs.running_along(self.mode, flat).reshape(pos.shape[:-1])
 
 
-def state_profile(model: PdmpModel, x: StatePoint, n_t: int) -> FlowProfile:
+def state_profile(model: PdmpModel, x: StatePoint) -> FlowProfile:
     """The flow profile of the single state x, which must be interior to its
-    region."""
+    region, on the :data:`FLOW_TIME_NODES` grid."""
     _check_start(model, x.mode, x.zeta)
-    return FlowProfile(model, x.mode, np.asarray([x.zeta], dtype=float), n_t)
+    return FlowProfile(model, x.mode, np.asarray([x.zeta], dtype=float), FLOW_TIME_NODES)
 
 
 class JCurve:
@@ -544,8 +548,7 @@ def _one_state_inf(low: CurveMinimum, r_eps: float) -> InfJResult:
                       attained_on_grid=not low.refined[0])
 
 
-def inf_J(model: PdmpModel, v, w, x: StatePoint, eps: float,
-          n_t: int = 512) -> InfJResult:
+def inf_J(model: PdmpModel, v, w, x: StatePoint, eps: float) -> InfJResult:
     """Minimize the intervention-value curve and locate its eps-threshold time.
 
     The curve is constant past t*, so a grid over [0, t*] plus golden-section
@@ -554,12 +557,11 @@ def inf_J(model: PdmpModel, v, w, x: StatePoint, eps: float,
     below inf + eps, located by bisection inside its bracketing cell.
     """
     check_positive(eps, "eps")
-    low = CurveMinimum(JCurve(state_profile(model, x, n_t), v, w))
+    low = CurveMinimum(JCurve(state_profile(model, x), v, w))
     return _one_state_inf(low, low.threshold_time(_ONE_STATE, eps)[0])
 
 
-def op_Lscript(model: PdmpModel, w, x: StatePoint, eps: float,
-               n_t: int = 512) -> LscriptResult:
+def op_Lscript(model: PdmpModel, w, x: StatePoint, eps: float) -> LscriptResult:
     """Single jump-or-intervention step from x: :func:`jump_or_intervene` on
     the one-state curve, with the waiting value from
     :meth:`JCurve.wait_value`.
@@ -570,7 +572,7 @@ def op_Lscript(model: PdmpModel, w, x: StatePoint, eps: float,
     """
     check_positive(eps, "eps")
     phi = [w.eval(y) for y in model.control_set]
-    curve = JCurve(state_profile(model, x, n_t), MinRelocationValue(model, phi), w)
+    curve = JCurve(state_profile(model, x), MinRelocationValue(model, phi), w)
     wait_value = curve.wait_value()
     wait, r, value, _y_index, low = jump_or_intervene(curve, wait_value, eps)
     # The step searches the threshold time only where intervening wins.

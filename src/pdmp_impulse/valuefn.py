@@ -10,7 +10,9 @@ eps-threshold time" is recorded together with the intervention time and
 restart target.  Each stage runs the one step of the operators module,
 :func:`~.operators.jump_or_intervene`, over chunks of nodes, with waiting
 values from one application of the grid operator that :func:`compute_h`
-built and kept on h: one discretization per solve.
+built and kept on h: one discretization per solve.  Every flow, in the grid
+operator, the stages and :func:`eval_Vk_exact`, lies on the one time grid of
+``operators.FLOW_TIME_NODES`` points.
 
 Value interpolation, policy lookup and operator assembly find grid cells
 through one locator, :meth:`FunctionStore.locate`: a position is served when
@@ -38,6 +40,7 @@ from .model import PdmpModel, StatePoint, _node_mesh
 from .operators import (
     BRANCH_INTERVENE,
     BRANCH_WAIT,
+    FLOW_TIME_NODES,
     FlowProfile,
     FunctionEvaluable,
     JCurve,
@@ -183,13 +186,9 @@ class GridOperator:
     :class:`ExtrapolationError`.
     """
 
-    def __init__(self, model: PdmpModel, axes: dict[int, tuple[np.ndarray, ...]],
-                 n_t: int = 512):
-        if n_t < 2:
-            raise ModelParseError("n_t must be at least 2")
+    def __init__(self, model: PdmpModel, axes: dict[int, tuple[np.ndarray, ...]]):
         self.model = model
         self.axes = axes
-        self.n_t = n_t
         self.grid = FunctionStore(
             axes, {m: np.zeros([len(a) for a in axes[m]]) for m in model.mode_ids},
             {m: (model.region(m).lower, model.region(m).upper) for m in model.mode_ids})
@@ -214,13 +213,14 @@ class GridOperator:
 
     def node_profiles(self):
         """Global index of the first node and flow profile of consecutive
-        same-mode chunks of grid nodes, in global node order."""
-        size = chunk_rows(self.n_t)
+        same-mode chunks of grid nodes, in global node order, on the
+        FLOW_TIME_NODES time grid."""
+        size = chunk_rows(FLOW_TIME_NODES)
         for m in self.model.mode_ids:
             nodes = _node_mesh(self.axes[m])
             for lo in range(0, nodes.shape[0], size):
                 yield (self.mode_offsets[m] + lo,
-                       FlowProfile(self.model, m, nodes[lo:lo + size], self.n_t))
+                       FlowProfile(self.model, m, nodes[lo:lo + size], FLOW_TIME_NODES))
 
     def _cells(self, mode: int, pos: np.ndarray):
         flat, coef = self.grid.locate(mode, pos)
@@ -278,8 +278,7 @@ class GridOperator:
         return FunctionStore(self.axes, self.split(vec), self.grid.coverage)
 
 
-def compute_h(model: PdmpModel, store_spec: GridSpec | None = None,
-              n_t: int = 512) -> FunctionStore:
+def compute_h(model: PdmpModel, store_spec: GridSpec | None = None) -> FunctionStore:
     """No-impulse cost on a grid: the exact solution of the grid system
     (I - B) h = F of the waiting operator, found by one sparse LU.
 
@@ -288,7 +287,7 @@ def compute_h(model: PdmpModel, store_spec: GridSpec | None = None,
     store keeps the operator.
     """
     spec = store_spec or GridSpec()
-    gop = GridOperator(model, spec.build_axes(model), n_t=n_t)
+    gop = GridOperator(model, spec.build_axes(model))
     system = scipy.sparse.identity(gop.size, format="csc") - gop.matrix.tocsc()
     h = gop.to_store(scipy.sparse.linalg.spsolve(system, gop.offset_vec))
     h.operator = gop
@@ -449,12 +448,12 @@ def value_iterate(model: PdmpModel, h: FunctionStore, n_max: int, eps: float) ->
 
 
 def policy_query(table: PolicyTable, x: StatePoint, N: int,
-                 model: PdmpModel | None = None) -> PolicyQueryResult:
+                 model: PdmpModel) -> PolicyQueryResult:
     """Intervention time, restart point and branch for budget N at state x.
 
     Budget 0 never intervenes.  Otherwise this is one row of
-    :meth:`PolicyTable.lookup_many`, the rule the simulator follows; given the
-    model, the waiting branch reports the exact boundary-hit time at x.
+    :meth:`PolicyTable.lookup_many`, the rule the simulator follows; the
+    waiting branch reports the exact boundary-hit time at x.
     """
     if N < 0 or N > table.n_max:
         raise PolicyCoverageError(f"budget {N} outside table range 0..{table.n_max}")
@@ -462,15 +461,12 @@ def policy_query(table: PolicyTable, x: StatePoint, N: int,
         return PolicyQueryResult(math.inf, None, BRANCH_NONE)
     wait, r, y_idx = (a[0] for a in table.lookup_many(x.mode, np.array([x.zeta]), N))
     if wait:
-        if model is not None:
-            r = model.flow.hit_fn[x.mode](x.zeta)
-        return PolicyQueryResult(float(r), None, BRANCH_WAIT)
+        return PolicyQueryResult(float(model.flow.hit_fn[x.mode](x.zeta)), None, BRANCH_WAIT)
     return PolicyQueryResult(float(r), table.control_set[y_idx], BRANCH_INTERVENE)
 
 
 def eval_Vk_exact(model: PdmpModel, h: FunctionStore, k: int, x: StatePoint,
-                  eps: float, n_t: int = 65, k_exact_max: int = 3,
-                  budget: int = 50_000) -> float:
+                  eps: float, k_exact_max: int = 3, budget: int = 50_000) -> float:
     """Budget-k value by direct recursion, bypassing the value grid.
 
     Each level is one :func:`op_Lscript` step whose cost-to-go, the level
@@ -501,7 +497,7 @@ def eval_Vk_exact(model: PdmpModel, h: FunctionStore, k: int, x: StatePoint,
                 f"exact recursion exceeded its evaluation budget ({budget})"
             )
         w = FunctionEvaluable(lambda p: recurse(level - 1, p))
-        value = op_Lscript(model, w, point, eps, n_t).value
+        value = op_Lscript(model, w, point, eps).value
         memo[key] = value
         return value
 

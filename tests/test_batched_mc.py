@@ -35,7 +35,6 @@ import oracle
 from conftest import FEATURE_MODELS, MODEL_PATH, feature_model
 
 EPS = 0.01
-N_T = 64
 REL_TOL = 1e-12
 BATCH_MODELS = ("rm1", "exponential_decay", "affine_intensity_region_split_kernel",
                 "planar_intervening")
@@ -56,7 +55,7 @@ def solved():
             model, density = feature_model(name)
             x0 = _start(model)
             spec = GridSpec(density=density, extra_points={x0.mode: (x0.zeta,)})
-            h = compute_h(model, spec, n_t=N_T)
+            h = compute_h(model, spec)
             cache[name] = model, value_iterate(model, h, n_max=2, eps=EPS), x0
         return cache[name]
 

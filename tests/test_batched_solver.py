@@ -16,8 +16,8 @@ from pdmp_impulse import operators, valuefn
 from pdmp_impulse.dynamics import hit_time
 from pdmp_impulse.model import StatePoint
 from pdmp_impulse.operators import FlowProfile as _FlowChunk
-from pdmp_impulse.operators import (BRANCH_WAIT, TIME_TOL_REL, MinRelocationValue, inf_J,
-                                    op_Lscript, op_M)
+from pdmp_impulse.operators import (BRANCH_WAIT, FLOW_TIME_NODES, TIME_TOL_REL,
+                                    MinRelocationValue, inf_J, op_Lscript, op_M)
 from pdmp_impulse.operators import _first_entry as _first_entry_many
 from pdmp_impulse.operators import _golden_min as _golden_min_many
 from pdmp_impulse.valuefn import (
@@ -33,7 +33,6 @@ from conftest import FEATURE_MODELS, feature_model
 from oracle import (FlowProfile, JCurve, _first_entry, _golden_min, _inf_from_curve,
                     exact_value, lscript)
 
-N_T = 64
 EPS = 0.01
 
 
@@ -98,8 +97,8 @@ def _flat(stage_field, model):
 @pytest.mark.parametrize("name", FEATURE_MODELS)
 def test_batched_solver_matches_scalar_path(name):
     model, density = feature_model(name)
-    h = compute_h(model, GridSpec(density=density), n_t=N_T)
-    running, matrix = dense_operator(model, h.axes, N_T)
+    h = compute_h(model, GridSpec(density=density))
+    running, matrix = dense_operator(model, h.axes, FLOW_TIME_NODES)
     gop = h.operator
     assert np.array_equal(gop.offset_vec, running)
     assert np.allclose(gop.matrix.toarray(), matrix, rtol=1e-12, atol=1e-15)
@@ -112,7 +111,7 @@ def test_batched_solver_matches_scalar_path(name):
     t_star = np.array([hit_time(model, x) for x in _nodes(model, h.axes)])
     prev_vec = h_vec
     for stage in table.stages:
-        ref = scalar_stage(model, gop, prev_vec, EPS, N_T)
+        ref = scalar_stage(model, gop, prev_vec, EPS, FLOW_TIME_NODES)
         wait = _flat(stage.wait, model)
         value = _flat(stage.value, model)
         assert np.array_equal(wait, ref["wait"])
@@ -125,10 +124,10 @@ def test_batched_solver_matches_scalar_path(name):
 
 def test_node_results_do_not_depend_on_chunk_size(monkeypatch):
     model, density = feature_model("affine_intensity_region_split_kernel")
-    h = compute_h(model, GridSpec(density=density), n_t=N_T)
+    h = compute_h(model, GridSpec(density=density))
     table = value_iterate(model, h, n_max=2, eps=EPS)
     monkeypatch.setattr(operators, "CHUNK_ELEMENTS", 1)
-    h_one = compute_h(model, GridSpec(density=density), n_t=N_T)
+    h_one = compute_h(model, GridSpec(density=density))
     one = value_iterate(model, h_one, n_max=2, eps=EPS)
     for m in model.mode_ids:
         assert np.array_equal(h_one.values[m], h.values[m])
@@ -168,7 +167,7 @@ def test_lockstep_searches_match_scalar_ones():
 
 def test_left_index_is_searchsorted():
     model, _density = feature_model("rm1")
-    geo = _FlowChunk(model, 1, np.array([[0.5], [3.3], [9.9]]), N_T)
+    geo = _FlowChunk(model, 1, np.array([[0.5], [3.3], [9.9]]), FLOW_TIME_NODES)
     for i, grid in enumerate(geo.tgrid):
         # Grid times, their float neighbours and near misses either side.
         t = np.concatenate([grid, np.nextafter(grid, -1.0).clip(0.0),
@@ -194,13 +193,13 @@ def _interior_points(model, mode, count=10):
 @pytest.mark.parametrize("name", FEATURE_MODELS)
 def test_one_state_entries_match_the_scalar_oracle(name):
     model, density = feature_model(name)
-    h = compute_h(model, GridSpec(density=density), n_t=N_T)
+    h = compute_h(model, GridSpec(density=density))
     reloc = MinRelocationValue(model, [h.eval(y) for y in model.control_set])
     for m in model.mode_ids:
         for x in _interior_points(model, m):
             got = inf_J(model, reloc, h, x, EPS)
-            want = _inf_from_curve(JCurve(FlowProfile(model, x, n_t=512), reloc, h),
-                                   EPS, TIME_TOL_REL)
+            want = _inf_from_curve(
+                JCurve(FlowProfile(model, x, n_t=FLOW_TIME_NODES), reloc, h), EPS, TIME_TOL_REL)
             assert got.attained_on_grid == want.attained_on_grid
             assert _close(got.inf_value, want.inf_value)
             assert _close(got.r_eps, want.r_eps)
@@ -220,7 +219,7 @@ def test_one_state_step_matches_value_iterate_at_every_node(name):
     value comes from elsewhere (the one-state curve against the grid
     operator), so it alone may differ, by rounding."""
     model, density = feature_model(name)
-    h = compute_h(model, GridSpec(density=density), n_t=N_T)
+    h = compute_h(model, GridSpec(density=density))
     table = value_iterate(model, h, n_max=2, eps=EPS)
     for k, stage in enumerate(table.stages, start=1):
         w = table.value_store(k - 1)
@@ -231,7 +230,7 @@ def test_one_state_step_matches_value_iterate_at_every_node(name):
             wait, r, y_index, value = (getattr(stage, f)[m].ravel()
                                        for f in ("wait", "r", "y_index", "value"))
             for i, zeta in enumerate(nodes):
-                got = op_Lscript(model, w, StatePoint(m, tuple(zeta)), EPS, n_t=N_T)
+                got = op_Lscript(model, w, StatePoint(m, tuple(zeta)), EPS)
                 assert (got.branch == BRANCH_WAIT) == wait[i], (k, zeta)
                 stop = model.flow.position(m, zeta[None, :], r[i:i + 1])[0]
                 assert op_M(model, phi, StatePoint(m, tuple(stop)))[1] == y_index[i]
@@ -245,14 +244,25 @@ def test_one_state_step_matches_value_iterate_at_every_node(name):
 def test_exact_recursion_matches_the_scalar_oracle(rm1, rm1_h):
     for k in (1, 2):
         for x in (StatePoint(1, (2.0,)), StatePoint(2, (4.0,))):
-            assert _close(eval_Vk_exact(rm1, rm1_h, k, x, EPS, n_t=257),
-                          exact_value(rm1, rm1_h, k, x, EPS, n_t=257))
+            assert _close(eval_Vk_exact(rm1, rm1_h, k, x, EPS),
+                          exact_value(rm1, rm1_h, k, x, EPS, n_t=FLOW_TIME_NODES))
+
+
+@pytest.mark.parametrize("name", FEATURE_MODELS)
+def test_exact_recursion_is_the_one_state_step(name):
+    """At k = 1 the exact recursion is one op_Lscript step from h, on the
+    same time grid, so the two agree to the bit."""
+    model, density = feature_model(name)
+    h = compute_h(model, GridSpec(density=density))
+    for m in model.mode_ids:
+        for x in _interior_points(model, m, count=3):
+            assert eval_Vk_exact(model, h, 1, x, EPS) == op_Lscript(model, h, x, EPS).value, x
 
 
 def test_value_iterate_looks_up_the_curve_names_at_call_time(monkeypatch):
     # The bench traces the solver by replacing these names with wrappers.
     model, density = feature_model("rm1")
-    h = compute_h(model, GridSpec(density=density), n_t=N_T)
+    h = compute_h(model, GridSpec(density=density))
     calls = dict.fromkeys(("FlowProfile", "JCurve", "at"), 0)
 
     def counted(fn, key):

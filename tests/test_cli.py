@@ -154,7 +154,7 @@ def test_compute_value_deterministic(tmp_path, monkeypatch):
             monkeypatch.setattr(operators, "CHUNK_ELEMENTS", 1)
         code = run_cli(
             "compute-value", "--model", MODEL_PATH, "--out", tmp_path / sub,
-            "--eps", "0.02", "--nmax", "1", "--grid", "40", "--seed", "5",
+            "--eps", "0.02", "--nmax", "1", "--grid", "40",
         )
         assert code == 0
     for name in ("policy.pdmpval", "value_summary.csv"):

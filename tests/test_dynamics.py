@@ -26,7 +26,7 @@ from pdmp_impulse.dynamics import (
 )
 from pdmp_impulse.errors import DomainError, NumericalError
 from pdmp_impulse.model import as_state, load_model
-from pdmp_impulse.operators import state_profile
+from pdmp_impulse.operators import FlowProfile
 from pdmp_impulse.quadrature import GL_ORDER, panel_cumulative, panel_nodes
 from pdmp_impulse.valuefn import GridSpec, compute_h
 
@@ -170,7 +170,7 @@ def test_kinked_intensity_is_rejected(rm1_table, tmp_path):
     with pytest.raises(NumericalError, match="not smooth"):
         sample_sojourn(model, x, 0.9)
     with pytest.raises(NumericalError, match="not smooth"):
-        compute_h(model, GridSpec(density=20), n_t=64)
+        compute_h(model, GridSpec(density=20))
     with pytest.raises(NumericalError, match="not smooth"):
         estimate_cost_J(x, 0, rm1_table, model, replicates=10, seed=0)
     path = tmp_path / "kinked.json"
@@ -225,7 +225,7 @@ def test_panel_rule_matches_adaptive_quadrature(name):
             for s_k, u_k in zip(s[~hit], u[~hit]):
                 residual = cumulative_intensity(model, x, s_k) + math.log(u_k)
                 assert abs(residual) <= 1e-12 * max(1.0, ts), (x, u_k)
-            profile = state_profile(model, x, 33)
+            profile = FlowProfile(model, mode, zeta, 33)
             nodes = panel_nodes(profile.tgrid)[0][:, ::7]
             cum = profile.intensity(np.arange(1), nodes)[1]
             for t, got in zip(nodes[0], cum[0]):
@@ -370,7 +370,7 @@ def test_uncontrolled_cost_matches_renewal_oracle(rm1, rm1_h):
 
 
 def test_default_horizon_tail_rule(rm1):
-    h = default_horizon(rm1, tail_tol=1e-6)
+    h = default_horizon(rm1)
     tail = math.exp(-rm1.discount * h) * rm1.costs.running_bound / rm1.discount
     assert tail <= 1e-6 * 1.0000001
 

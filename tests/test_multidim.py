@@ -62,7 +62,7 @@ def test_planar_operators(planar_model):
 def test_planar_value_pipeline_and_simulation(planar_model):
     x0 = as_state(1, (3.0, 4.0))
     spec = GridSpec(density=12, extra_points={1: ((3.0, 4.0),)})
-    h = compute_h(planar_model, spec, n_t=192)
+    h = compute_h(planar_model, spec)
     # Cross-check h by Monte Carlo at the pinned start point.
     n = 4000
     horizon = default_horizon(planar_model)
@@ -122,7 +122,7 @@ def _planar_variant(planar_model, running: str, density: int):
     doc["costs"] = dict(doc["costs"], running={"1": running}, running_bound=2.2)
     model = load_model(doc)
     spec = GridSpec(density=density, extra_points={1: ((3.0, 4.0),)})
-    h = compute_h(model, spec, n_t=192)
+    h = compute_h(model, spec)
     return model, value_iterate(model, h, n_max=1, eps=0.02)
 
 
@@ -177,7 +177,7 @@ def test_planar_intervention_time_is_policy_query_r(request, variant):
 ])
 def test_planar_bad_start_point_rejected(planar_model, x0):
     spec = GridSpec(density=6)
-    h = compute_h(planar_model, spec, n_t=64)
+    h = compute_h(planar_model, spec)
     table = value_iterate(planar_model, h, n_max=1, eps=0.02)
     for n0 in (0, 1):
         with pytest.raises(DomainError):

@@ -141,7 +141,7 @@ def solved():
             model, density = feature_model(name)
             x0 = StatePoint(1, (3.0, 4.0)) if model.dim == 2 else StatePoint(1, (7.0,))
             spec = GridSpec(density=density, extra_points={x0.mode: (x0.zeta,)})
-            h = compute_h(model, spec, n_t=64)
+            h = compute_h(model, spec)
             cache[name] = model, value_iterate(model, h, n_max=2, eps=0.01), x0
         return cache[name]
 

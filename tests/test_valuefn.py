@@ -120,7 +120,7 @@ def test_h_is_fixed_point_of_waiting_operator(rm1, rm1_h):
 def test_h_solves_the_grid_system(name):
     """h solves its grid system (I - B) h = F to rounding."""
     model, density = feature_model(name)
-    h = compute_h(model, GridSpec(density=density), n_t=64)
+    h = compute_h(model, GridSpec(density=density))
     h_vec = np.concatenate([h.values[m].ravel() for m in model.mode_ids])
     residual = float(np.max(np.abs(h.operator.apply(h_vec) - h_vec)))
     assert residual <= 1e-13 * (1.0 + float(np.max(np.abs(h_vec))))
@@ -240,7 +240,7 @@ def test_exact_recursion_matches_grid_within_refinement(rm1, rm1_h, rm1_table):
             coarse_val = rm1_table.value(k, x)
             fine_val = fine.value(k, x)
             refine_gap = abs(coarse_val - fine_val)
-            exact = eval_Vk_exact(rm1, rm1_h, k, x, 0.01, n_t=257)
+            exact = eval_Vk_exact(rm1, rm1_h, k, x, 0.01)
             assert abs(exact - coarse_val) <= 4 * refine_gap + 5e-4
 
 
@@ -263,8 +263,8 @@ def test_exact_recursion_budget_guards(rm1, rm1_h):
 # Policy queries
 
 
-def test_policy_query_budget_zero(rm1_table):
-    res = policy_query(rm1_table, as_state(1, 2.0), 0)
+def test_policy_query_budget_zero(rm1, rm1_table):
+    res = policy_query(rm1_table, as_state(1, 2.0), 0, model=rm1)
     assert res.r == math.inf
     assert res.y is None
     assert res.branch == BRANCH_NONE
@@ -290,7 +290,7 @@ def test_policy_query_out_of_range(rm1, rm1_table):
     with pytest.raises(ExtrapolationError):
         policy_query(rm1_table, as_state(1, 11.0), 1, model=rm1)
     with pytest.raises(PolicyCoverageError):
-        policy_query(rm1_table, as_state(1, 2.0), 9)
+        policy_query(rm1_table, as_state(1, 2.0), 9, model=rm1)
 
 
 def test_value_iterate_rejects_bad_arguments(rm1, rm1_h):

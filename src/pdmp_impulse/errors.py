@@ -16,11 +16,7 @@ class UnsupportedFeatureError(ModelParseError):
 
 
 class ModelValidationError(PdmpError):
-    """A hard model invariant failed; carries the witness point."""
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    """A hard model invariant failed at load; the message names the field."""
 
 
 class DomainError(PdmpError):

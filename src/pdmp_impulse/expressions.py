@@ -53,9 +53,12 @@ _ALLOWED_NODES = (
 )
 
 
-def _check_node(node: ast.AST, variables: tuple[str, ...], where: str) -> set[str]:
-    """Walk the tree, return the set of variable names actually used."""
+def _check_node(node: ast.AST, variables: tuple[str, ...],
+                where: str) -> tuple[set[str], set[tuple[str, int]]]:
+    """Walk the tree, return the variable names actually used and the
+    (name, index) pairs of the subscripts."""
     used: set[str] = set()
+    subscripts: set[tuple[str, int]] = set()
     for sub in ast.walk(node):
         if not isinstance(sub, _ALLOWED_NODES):
             raise ModelParseError(
@@ -73,6 +76,7 @@ def _check_node(node: ast.AST, variables: tuple[str, ...], where: str) -> set[st
             if not (isinstance(idx, ast.Constant) and isinstance(idx.value, int)):
                 raise ModelParseError(f"{where}: subscripts must be integer literals")
             used.add(sub.value.id)
+            subscripts.add((sub.value.id, idx.value))
         elif isinstance(sub, ast.Constant) and not isinstance(sub.value, (int, float)):
             raise ModelParseError(f"{where}: only numeric literals are allowed")
         elif isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Load):
@@ -83,7 +87,7 @@ def _check_node(node: ast.AST, variables: tuple[str, ...], where: str) -> set[st
                 used.add(name)
             elif name not in _FUNCTIONS and name not in _CONSTANTS:
                 raise ModelParseError(f"{where}: unknown name {name!r} in expression")
-    return used
+    return used, subscripts
 
 
 @dataclass(frozen=True)
@@ -92,12 +96,14 @@ class CompiledExpr:
 
     Array-valued variables broadcast through numpy, so one compiled expression
     serves both point evaluation and whole-trajectory sweeps.  ``constant`` is
-    the value of an expression that reads no variable, None otherwise.
+    the value of an expression that reads no variable, None otherwise;
+    ``subscripts`` holds the (variable, index) pairs it reads.
     """
 
     source: str
     variables: tuple[str, ...]
     used: frozenset[str]
+    subscripts: frozenset[tuple[str, int]]
     _code: Any = field(repr=False)
     constant: float | None = field(default=None, init=False)
 
@@ -121,10 +127,11 @@ def compile_expr(source, variables: tuple[str, ...], where: str) -> CompiledExpr
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise ModelParseError(f"{where}: cannot parse expression: {exc.msg}") from None
-    used = _check_node(tree, variables, where)
+    used, subscripts = _check_node(tree, variables, where)
     code = compile(tree, filename=f"<{where}>", mode="eval")
     try:
-        expr = CompiledExpr(source=source, variables=variables, used=frozenset(used), _code=code)
+        expr = CompiledExpr(source=source, variables=variables, used=frozenset(used),
+                            subscripts=frozenset(subscripts), _code=code)
     except (ArithmeticError, TypeError):
         raise ModelParseError(f"{where}: constant expression is not a real number") from None
     if expr.constant is not None and not math.isfinite(expr.constant):

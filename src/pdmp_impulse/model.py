@@ -195,19 +195,29 @@ class KernelAtom:
         return out
 
 
+def _coverage_box(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Box bounds widened by the slack that absorbs rounding at the box's
+    edges: a store's coverage, or a kernel entry's region on a retry."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    slack = 1e-9 * np.maximum(1.0, hi - lo)
+    return lo - slack, hi + slack
+
+
 @dataclass(frozen=True)
 class KernelEntry:
     from_mode: int
     region: tuple[tuple[float, float], ...] | None  # inclusive box, None = whole closure
     atoms: tuple[KernelAtom, ...]
 
-    def matches_many(self, pos: np.ndarray) -> np.ndarray:
+    def matches_many(self, pos: np.ndarray, widened: bool) -> np.ndarray:
+        """Rows of an (n, d) array inside the region, or inside the region
+        widened by the coverage slack that absorbs rounding at its edges."""
         if self.region is None:
             return np.ones(pos.shape[0], dtype=bool)
-        mask = np.ones(pos.shape[0], dtype=bool)
-        for i, (lo, hi) in enumerate(self.region):
-            mask &= (pos[:, i] >= lo) & (pos[:, i] <= hi)
-        return mask
+        lo, hi = np.array(self.region).T
+        if widened:
+            lo, hi = _coverage_box(lo, hi)
+        return ((lo <= pos) & (pos <= hi)).all(axis=1)
 
 
 @dataclass(frozen=True)
@@ -248,11 +258,21 @@ class KernelRuntime:
     def _owners(self, mode: int, pos: np.ndarray) -> np.ndarray:
         """Index of the entry that claims each row of an (n, d) array of
         pre-jump positions: the first entry of the mode whose region holds
-        the row, -1 where none does."""
+        the row, -1 where none does.  A row that no region holds exactly,
+        such as a flow's end a rounding error past a region's edge, is
+        matched once more against the regions widened by the coverage
+        slack; rows held exactly keep their entry."""
+        owner = self._first_match(mode, pos, False)
+        missed = np.flatnonzero(owner < 0)
+        if missed.size:
+            owner[missed] = self._first_match(mode, pos[missed], True)
+        return owner
+
+    def _first_match(self, mode: int, pos: np.ndarray, widened: bool) -> np.ndarray:
         owner = np.full(pos.shape[0], -1)
         for e, entry in enumerate(self.entries):
             if entry.from_mode == mode:
-                owner[(owner < 0) & entry.matches_many(pos)] = e
+                owner[(owner < 0) & entry.matches_many(pos, widened)] = e
         return owner
 
     def claim(self, mode: int, pos: np.ndarray) -> list[tuple[KernelEntry, np.ndarray]]:
@@ -381,6 +401,17 @@ def _positive(value, name: str) -> float:
     return value
 
 
+def _compile(source, variables: tuple[str, ...], where: str, dim: int) -> CompiledExpr:
+    """:func:`compile_expr`, rejecting a subscript of the position ``zeta``
+    or the target ``y`` past the model's ``dim`` coordinates."""
+    expr = compile_expr(source, variables, where)
+    for name, index in sorted(expr.subscripts):
+        if name in ("zeta", "y") and index >= dim:
+            raise ModelParseError(
+                f"{where}: {name}[{index}] is past the model's {dim} coordinate(s)")
+    return expr
+
+
 def load_model(source) -> PdmpModel:
     """Load and compile a model from a dict, JSON string, or file path."""
     if isinstance(source, dict):
@@ -451,8 +482,8 @@ def load_model(source) -> PdmpModel:
     for mode_id in modes:
         if str(mode_id) not in doc["intensity"]:
             raise ModelParseError(f"intensity missing mode {mode_id}")
-        intensity[mode_id] = compile_expr(
-            doc["intensity"][str(mode_id)], ("zeta",), f"intensity[{mode_id}]"
+        intensity[mode_id] = _compile(
+            doc["intensity"][str(mode_id)], ("zeta",), f"intensity[{mode_id}]", dim
         )
     intensity_bound = float(_require(doc, "intensity_bound"))
     if intensity_bound < 0:
@@ -481,7 +512,7 @@ def load_model(source) -> PdmpModel:
             if len(zeta_raw) != dim:
                 raise ModelParseError(f"kernel[{i}].atoms[{j}].zeta must have length {dim}")
             exprs = tuple(
-                compile_expr(z, ("zeta",), f"kernel[{i}].atoms[{j}].zeta[{k}]")
+                _compile(z, ("zeta",), f"kernel[{i}].atoms[{j}].zeta[{k}]", dim)
                 for k, z in enumerate(zeta_raw)
             )
             prob = float(_require(atom, "prob", f"kernel[{i}].atoms[{j}]"))
@@ -510,8 +541,8 @@ def load_model(source) -> PdmpModel:
     for mode_id in modes:
         if str(mode_id) not in raw_running:
             raise ModelParseError(f"costs.running missing mode {mode_id}")
-        running[mode_id] = compile_expr(
-            raw_running[str(mode_id)], ("zeta",), f"costs.running[{mode_id}]"
+        running[mode_id] = _compile(
+            raw_running[str(mode_id)], ("zeta",), f"costs.running[{mode_id}]", dim
         )
     running_bound = float(_require(costs_doc, "running_bound", "costs"))
     if running_bound < 0:
@@ -545,10 +576,11 @@ def load_model(source) -> PdmpModel:
                 "costs.intervention.values must have one entry per control point"
             )
     elif kind == "expr":
-        payload = compile_expr(
+        payload = _compile(
             _require(interv, "expr", "costs.intervention"),
             ("zeta", "m", "y", "ym"),
             "costs.intervention.expr",
+            dim,
         )
     else:
         raise UnsupportedFeatureError(f"costs.intervention.kind {kind!r} not supported")

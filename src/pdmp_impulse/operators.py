@@ -10,17 +10,21 @@ The jump-or-intervene curve has one implementation, batched over states, on
 the one Gauss-Legendre panel rule along flows: :class:`FlowProfile` holds the
 geometry along the flows from same-mode states on uniform time grids, with
 the cumulative intensity integrated panel by panel, :class:`JCurve` the
-intervention-value curves on them, and :class:`CurveMinimum` refines each
-infimum by golden-section search and bisects for the eps-threshold time, in
-lockstep over the curves, to TIME_TOL_REL of t*.  :func:`jump_or_intervene` is the one
-single-jump-or-intervention step on them: ``valuefn.value_iterate`` runs it
-over chunks of grid nodes, with waiting values from the grid operator, and
-:func:`op_Lscript` over one state, with the waiting value from
-:meth:`JCurve.wait_value`; :func:`inf_J` minimizes one state's curve.  The
-grid solve, these one-state operators and ``valuefn.eval_Vk_exact`` lay
-every flow on the one uniform time grid of FLOW_TIME_NODES points, so they
-share one discretization.  The one-off :func:`op_F`, :func:`op_K` and
-:func:`op_J` stay adaptive quadrature (relative tolerance 1e-10), as oracles.
+intervention-value curves on them, :class:`CurveWindows` the few numbers per
+state that the searches read (the cells around the grid argmin and around
+the first grid value below minimum + eps), and :class:`CurveMinimum` refines
+each infimum by golden-section search and bisects for the eps-threshold
+time, in lockstep over a batch of windows, to TIME_TOL_REL of t*.
+:func:`jump_or_intervene` is the one single-jump-or-intervention step on
+them: ``valuefn.value_iterate`` runs it over batches of up to
+``chunk_rows(2 * GL_ORDER)`` grid nodes joined by :func:`curve_batches`,
+with waiting values from the grid operator, and :func:`op_Lscript` over one
+state, with the waiting value from :meth:`JCurve.wait_value`; :func:`inf_J`
+minimizes one state's curve by the same search.  The grid solve, these
+one-state operators and ``valuefn.eval_Vk_exact`` lay every flow on the one
+uniform time grid of FLOW_TIME_NODES points, so they share one
+discretization.  The one-off :func:`op_F`, :func:`op_K` and :func:`op_J`
+stay adaptive quadrature (relative tolerance 1e-10), as oracles.
 
 Rates and costs are read in their one array form, on rows of positions:
 ``intensity_along``, ``running_along`` and ``intervention_along``.
@@ -140,41 +144,70 @@ def chunk_rows(points: int) -> int:
     return max(1, CHUNK_ELEMENTS // points)
 
 
+class GridColumns:
+    """Values of a (states, n_t) array on the states' time grids: the whole
+    array, or per-state windows that keep the values at a few grid columns
+    with those columns.  :meth:`take` reads either the same way."""
+
+    def __init__(self, values: np.ndarray, columns: np.ndarray | None):
+        self.values = values
+        self.columns = columns
+
+    def take(self, rows: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """The value at grid column j of each state of ``rows``; a window
+        must hold the column."""
+        if self.columns is None:
+            return self.values[rows, j]
+        return self.values[rows, np.argmax(self.columns[rows] == j[:, None], axis=1)]
+
+
 class FlowProfile:
     """Flows from a batch of same-mode states, on each state's uniform time
     grid over [0, t*].
 
     The profile holds (states, n_t) grids; :meth:`quadrature` gives the
     (states, (n_t - 1) * GL_ORDER) arrays at the Gauss-Legendre panel nodes
-    for one block of :meth:`blocks` at a time.  A constant intensity stays a
-    scalar.  The states are taken as interior; :func:`state_profile` checks
-    one first.
+    for one block of :meth:`blocks` at a time.  A constant intensity or
+    running cost stays a scalar, and flow positions at the nodes are computed
+    only where a non-constant running cost or a kernel that moves with the
+    pre-jump point reads them.  The states are taken as interior;
+    :func:`state_profile` checks one first.
     """
 
     def __init__(self, model: PdmpModel, mode: int, zeta: np.ndarray, n_t: int):
         if n_t < 2:
             raise ModelParseError("n_t must be at least 2")
-        self.model = model
-        self.mode = mode
-        self.zeta = zeta
-        self.size = zeta.shape[0]
-        self.alpha = model.discount
+        self._bind(model, mode, zeta, n_t - 1)
         self.t_star = model.flow.hit_times(mode, zeta)
         unbounded = ~np.isfinite(self.t_star)
         if unbounded.any():
             raise _never_exits(mode, zeta[int(np.argmax(unbounded))])
-        self.lam_const = model.intensity[mode].constant
         # np.linspace(0, t*, n_t) for every state at once.
-        self.step = self.t_star / (n_t - 1)
+        self.step = self.t_star / self.last
         self.tgrid = np.arange(n_t) * self.step[:, None]
         self.tgrid[:, -1] = self.t_star
-        self.block = chunk_rows((n_t - 1) * GL_ORDER)
+        self.block = chunk_rows(self.last * GL_ORDER)
+        self.cum_grid = None
         if self.lam_const is None:
             flow_cumulative(model, mode, zeta, self.t_star, check=True)
-            self.cum_grid = np.empty(self.tgrid.shape)
+            cum = np.empty(self.tgrid.shape)
             for rows in self.blocks():
                 s, wq = panel_nodes(self.tgrid[rows])
-                self.cum_grid[rows] = panel_cumulative(self.lam_at(self.flow(s, rows)), wq)
+                cum[rows] = panel_cumulative(self.lam_at(self.flow(s, rows)), wq)
+            self.cum_grid = GridColumns(cum, None)
+
+    def _bind(self, model: PdmpModel, mode: int, zeta: np.ndarray, last: int):
+        self.model = model
+        self.mode = mode
+        self.zeta = zeta
+        self.size = zeta.shape[0]
+        self.last = last
+        self.alpha = model.discount
+        self.lam_const = model.intensity[mode].constant
+        self.f_const = model.costs.running[mode].constant
+        # The intensity places its own nodes; positions feed only these.
+        self.reads_positions = (self.f_const is None
+                                or model.kernel.static_atoms_for(mode) is None)
 
     def blocks(self):
         """State indices of consecutive blocks for :meth:`quadrature`."""
@@ -182,19 +215,25 @@ class FlowProfile:
             yield np.arange(lo, min(lo + self.block, self.size))
 
     def quadrature(self, rows: np.ndarray, nodes=None):
-        """Weights, flow positions, intensity, damping and running cost at
-        Gauss-Legendre nodes along the flows of states ``rows``: their grids'
-        panel nodes, or the given (nodes, weights)."""
+        """Weights, flow positions (None where nothing reads them),
+        intensity, damping and running cost at Gauss-Legendre nodes along the
+        flows of states ``rows``: their grids' panel nodes, or the given
+        (nodes, weights)."""
         s, wq = panel_nodes(self.tgrid[rows]) if nodes is None else nodes
-        pos = self.flow(s, rows)
+        pos = self.flow(s, rows) if self.reads_positions else None
         lam, cum = self.intensity(rows, s)
         damp = np.exp(-self.alpha * s - cum)
         del s, cum
-        return wq, pos, lam, damp, self.running(pos)
+        return wq, pos, lam, damp, self.f_const if self.f_const is not None else self.running(pos)
 
     def damping(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
         """exp(-alpha*t - Lambda(t)) along the flows of ``rows``."""
         return np.exp(-self.alpha * t - self.intensity(rows, t)[1])
+
+    def grid_time(self, rows: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Time of grid point j on the grid of each state of ``rows``: j
+        steps, and t* at the last point, the bits of ``tgrid``."""
+        return np.where(j == self.last, self.t_star[rows], j * self.step[rows])
 
     def left_index(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
         """searchsorted(tgrid, t, side="right") - 1 per state, for t >= 0.
@@ -202,12 +241,12 @@ class FlowProfile:
         The uniform step locates the grid cell to within one; comparing
         against the grid itself settles it.
         """
-        last = self.tgrid.shape[1] - 1
+        last = self.last
         step = self.step[rows]
         guess = np.divide(t, step, out=np.zeros_like(t), where=step > 0)
         j = np.clip(np.floor(guess).astype(np.int64), 0, last)
-        j -= self.tgrid[rows, j] > t
-        j += (j < last) & (self.tgrid[rows, np.minimum(j + 1, last)] <= t)
+        j -= self.grid_time(rows, j) > t
+        j += (j < last) & (self.grid_time(rows, np.minimum(j + 1, last)) <= t)
         return j
 
     def flow(self, t: np.ndarray, rows=None) -> np.ndarray:
@@ -227,8 +266,8 @@ class FlowProfile:
             return self.lam_const, self.lam_const * t
         each = np.broadcast_to(rows.reshape(-1, *(1,) * (t.ndim - 1)), t.shape).ravel()
         left = self.left_index(each, t.ravel())
-        s, wq = interval_nodes(self.tgrid[each, left], t.ravel())
-        cum = self.cum_grid[each, left] + (wq * self.lam_at(self.flow(s, each))).sum(axis=1)
+        s, wq = interval_nodes(self.grid_time(each, left), t.ravel())
+        cum = self.cum_grid.take(each, left) + (wq * self.lam_at(self.flow(s, each))).sum(axis=1)
         return self.lam_at(self.flow(t, rows)), cum.reshape(t.shape)
 
     def lam_at(self, pos: np.ndarray) -> np.ndarray:
@@ -238,6 +277,20 @@ class FlowProfile:
     def running(self, pos: np.ndarray) -> np.ndarray:
         flat = pos.reshape(-1, pos.shape[-1])
         return self.model.costs.running_along(self.mode, flat).reshape(pos.shape[:-1])
+
+
+class FlowWindows(FlowProfile):
+    """The flows of a :class:`CurveWindows` batch: the states, their t* and
+    grid steps, and the cumulative intensity at the windows' columns only.
+    It holds no time grid, so it serves evaluations inside the windows'
+    cells, not :meth:`quadrature` over whole grids."""
+
+    def __init__(self, like: FlowProfile, nodes: dict[str, np.ndarray]):
+        self._bind(like.model, like.mode, nodes["zeta"], like.last)
+        self.t_star = nodes["t_star"]
+        self.step = nodes["step"]
+        self.cum_grid = (None if like.cum_grid is None
+                         else GridColumns(nodes["cum_grid"], nodes["columns"]))
 
 
 def state_profile(model: PdmpModel, x: StatePoint) -> FlowProfile:
@@ -253,7 +306,8 @@ class JCurve:
 
     ``values`` holds each curve on its state's time grid; :meth:`at`
     evaluates any subset of the curves, one time per curve, consistently
-    with the grid values.
+    with the grid values, and :meth:`windows` cuts the curves down to what
+    the searches of :class:`CurveMinimum` read.
     """
 
     def __init__(self, profile: FlowProfile, v, w):
@@ -264,13 +318,15 @@ class JCurve:
         self.static_qw = None if static is None else float(sum(
             prob * w.eval(StatePoint(a_mode, a_pos)) for a_mode, a_pos, prob in static.atoms
         ))
-        self.cum = np.empty(profile.tgrid.shape)
+        cum = np.empty(profile.tgrid.shape)
         self.values = np.empty(profile.tgrid.shape)
         for rows in profile.blocks():
-            self.cum[rows] = panel_cumulative(*self._integrand(*profile.quadrature(rows)))
+            cum[rows] = panel_cumulative(*self._integrand(*profile.quadrature(rows)))
             tgrid = profile.tgrid[rows]
-            self.values[rows] = (self.cum[rows] + profile.damping(rows, tgrid)
+            self.values[rows] = (cum[rows] + profile.damping(rows, tgrid)
                                  * self.v_at(profile.flow(tgrid, rows)))
+        self.cum = GridColumns(cum, None)
+        self.end_value = self.values[:, -1]
         self.v_start = self.v_at(profile.zeta)
 
     def _integrand(self, wq, pos, lam, damp, f):
@@ -302,8 +358,12 @@ class JCurve:
         :meth:`kernel_average` of w at the flows' end positions on the
         boundary."""
         p = self.profile
-        return (self.cum[:, -1] + p.damping(np.arange(p.size), p.t_star)
+        return (self.cum.values[:, -1] + p.damping(np.arange(p.size), p.t_star)
                 * self.kernel_average(p.flow(p.t_star)))
+
+    def windows(self, eps: float) -> CurveWindows:
+        """The curves' cell windows for an eps-threshold search."""
+        return CurveWindows(self, eps, self.values.min(axis=1) + eps)
 
     def at(self, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
         """J of states ``rows`` at times t, consistent with the grid values."""
@@ -311,17 +371,83 @@ class JCurve:
         out = np.empty(t.shape)
         past = t >= p.t_star[rows]
         start = ~past & (t <= 0.0)
-        out[past] = self.values[rows[past], -1]
+        out[past] = self.end_value[rows[past]]
         out[start] = self.v_start[rows[start]]
         inner = ~(past | start)
         if inner.any():
             rows, t = rows[inner], t[inner]
             left = p.left_index(rows, t)
-            wq, pos, lam, damp, f = p.quadrature(rows, interval_nodes(p.tgrid[rows, left], t))
+            wq, pos, lam, damp, f = p.quadrature(rows, interval_nodes(p.grid_time(rows, left), t))
             partial = (wq * damp * (f + lam * self.kernel_average(pos))).sum(axis=1)
-            out[inner] = (self.cum[rows, left] + partial
+            out[inner] = (self.cum.take(rows, left) + partial
                           + p.damping(rows, t) * self.v_at(p.flow(t, rows)))
         return out
+
+
+class CurveWindows(JCurve):
+    """J-curves cut down to the cells that the searches of
+    :class:`CurveMinimum` probe, a few numbers per state.
+
+    Per state: the grid argmin l* and the grid minimum; the entry j_a, the
+    first grid index whose value is below the band (grid minimum + eps), and
+    its value; the last grid value and the start value; and, at grid columns
+    l*-1, l*, j_a-1 and j_a, the curve's cumulative integral and the
+    cumulative intensity when it is not constant.  The golden-section search
+    probes the two cells around l* and the threshold bisection the cell left
+    of j_a, so :meth:`JCurve.at` serves them from the windows bit for bit as
+    from the whole curves.  Windows of consecutive chunks of states
+    :meth:`join` into one batch.
+    """
+
+    def __init__(self, curve: JCurve, eps: float, band: np.ndarray):
+        p = curve.profile
+        states = np.arange(p.size)
+        l_star = np.argmin(curve.values, axis=1)
+        entry = np.argmax(curve.values < band[:, None], axis=1)
+        columns = np.stack([np.maximum(l_star - 1, 0), l_star, np.maximum(entry - 1, 0), entry],
+                           axis=1)
+        nodes = {
+            "zeta": p.zeta, "t_star": p.t_star, "step": p.step, "columns": columns,
+            "cum": np.take_along_axis(curve.cum.values, columns, axis=1),
+            "end_value": curve.values[:, -1].copy(), "v_start": curve.v_start,
+            "l_star": l_star, "grid_min": curve.values[states, l_star],
+            "entry": entry, "entry_value": curve.values[states, entry],
+        }
+        if p.cum_grid is not None:
+            nodes["cum_grid"] = np.take_along_axis(p.cum_grid.values, columns, axis=1)
+        self._attach(curve, eps, nodes)
+
+    @classmethod
+    def join(cls, parts: Sequence[CurveWindows]) -> CurveWindows:
+        """One batch of the windows of same-mode curves, in order."""
+        batch = cls.__new__(cls)
+        batch._attach(parts[0], parts[0].eps,
+                      {k: np.concatenate([part.nodes[k] for part in parts]) for k in parts[0].nodes})
+        return batch
+
+    def _attach(self, like: JCurve, eps: float, nodes: dict[str, np.ndarray]):
+        self.v = like.v
+        self.w = like.w
+        self.static_qw = like.static_qw
+        self.eps = eps
+        self.nodes = nodes
+        self.profile = FlowWindows(like.profile, nodes)
+        self.cum = GridColumns(nodes["cum"], nodes["columns"])
+        self.end_value = nodes["end_value"]
+        self.v_start = nodes["v_start"]
+
+    def settle(self, rows: np.ndarray, band: np.ndarray) -> None:
+        """Rebuild the windows of states ``rows`` from their whole curves,
+        with the entry taken against their own ``band``.  Curves do not
+        depend on the states built with them, so only the entry moves."""
+        p = self.profile
+        size = chunk_rows(p.last + 1)
+        for lo in range(0, rows.size, size):
+            sub = rows[lo:lo + size]
+            curve = JCurve(FlowProfile(p.model, p.mode, p.zeta[sub], p.last + 1), self.v, self.w)
+            fresh = CurveWindows(curve, self.eps, band[lo:lo + size])
+            for key, values in self.nodes.items():
+                values[sub] = fresh.nodes[key]
 
 
 def _golden_min(fn, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray):
@@ -385,43 +511,52 @@ def _first_entry(fn, lo: np.ndarray, hi: np.ndarray, threshold: np.ndarray,
 
 
 class CurveMinimum:
-    """Infimum of every curve of a :class:`JCurve`, and on request the
-    eps-threshold times.
+    """Infimum of every curve of a :class:`CurveWindows` batch, and on
+    request the eps-threshold times.
 
     A curve is constant past t*, so its grid minimum refined by
     golden-section search over the two neighbouring cells gives ``value``;
     ``refined`` marks the curves where the search beat the grid.
     """
 
-    def __init__(self, curve: JCurve):
+    def __init__(self, curve: CurveWindows):
         p = curve.profile
         self.curve = curve
         states = np.arange(p.size)
-        last = p.tgrid.shape[1] - 1
+        l_star = curve.nodes["l_star"]
+        grid_min = curve.nodes["grid_min"]
         self.tol = np.maximum(TIME_TOL_REL * np.maximum(p.t_star, 1e-30), 1e-300)
-        l_star = np.argmin(curve.values, axis=1)
-        grid_min = curve.values[states, l_star]
         t_ref, f_ref = _golden_min(
-            curve.at, p.tgrid[states, np.maximum(l_star - 1, 0)],
-            p.tgrid[states, np.minimum(l_star + 1, last)], self.tol,
+            curve.at, p.grid_time(states, np.maximum(l_star - 1, 0)),
+            p.grid_time(states, np.minimum(l_star + 1, p.last)), self.tol,
         )
         self.refined = f_ref < grid_min
         self.value = np.where(self.refined, f_ref, grid_min)
-        self.t_min = np.where(self.refined, t_ref, p.tgrid[states, l_star])
+        self.t_min = np.where(self.refined, t_ref, p.grid_time(states, l_star))
 
-    def threshold_time(self, rows: np.ndarray, eps: float) -> np.ndarray:
+    def threshold_time(self, rows: np.ndarray) -> np.ndarray:
         """Earliest time at which the curves ``rows`` are strictly below
         their infimum plus eps, scanning upward from 0: bisected inside the
         first grid cell whose right end is below the band, or else inside
-        the refined cell up to t_min."""
+        the refined cell up to t_min.
+
+        Every grid value before a window's entry is at least grid minimum +
+        eps, hence at least the threshold, so the entry is the first cell
+        below the threshold when its value is.  Otherwise refinement beat
+        the grid by more than the band's slack, and the state's windows are
+        settled against the threshold from its whole curve.
+        """
         curve, p = self.curve, self.curve.profile
-        threshold = self.value[rows] + eps
-        below = curve.values[rows] < threshold[:, None]
-        idx = np.argmax(below, axis=1)
-        on_grid = below[np.arange(rows.size), idx]
+        threshold = self.value[rows] + curve.eps
+        unsettled = curve.nodes["entry_value"][rows] >= threshold
+        if unsettled.any():
+            curve.settle(rows[unsettled], threshold[unsettled])
+        idx = curve.nodes["entry"][rows]
+        on_grid = curve.nodes["entry_value"][rows] < threshold
         left_min = p.left_index(rows, self.t_min[rows])
-        lo = np.where(on_grid, p.tgrid[rows, np.maximum(idx - 1, 0)], p.tgrid[rows, left_min])
-        hi = np.where(on_grid, p.tgrid[rows, idx], self.t_min[rows])
+        lo = np.where(on_grid, p.grid_time(rows, np.maximum(idx - 1, 0)),
+                      p.grid_time(rows, left_min))
+        hi = np.where(on_grid, p.grid_time(rows, idx), self.t_min[rows])
         r = np.zeros(rows.size)
         bisect_at = np.nonzero(~on_grid | (idx > 0))[0]
         if bisect_at.size:
@@ -431,6 +566,27 @@ class CurveMinimum:
                 threshold[bisect_at], self.tol[sub],
             )
         return r
+
+
+def curve_batches(chunks, eps: float):
+    """The cell windows of curve chunks, given as consecutive (first state,
+    :class:`JCurve`) pairs, joined over each mode's consecutive chunks into
+    batches of at most ``chunk_rows(2 * GL_ORDER)`` states: the most whose
+    first golden-section probes keep to the element budget.  Yields (first
+    state, :class:`CurveWindows`) pairs; each whole curve is freed once its
+    windows are cut."""
+    limit = chunk_rows(2 * GL_ORDER)
+    batch, first = [], 0
+    for start, curve in chunks:
+        p = curve.profile
+        if batch and (p.mode != batch[0].profile.mode or start + p.size - first > limit):
+            yield first, CurveWindows.join(batch)
+            batch = []
+        if not batch:
+            first = start
+        batch.append(curve.windows(eps))
+    if batch:
+        yield first, CurveWindows.join(batch)
 
 
 # --------------------------------------------------------------------------
@@ -518,8 +674,9 @@ def check_positive(value: float, name: str) -> None:
         raise ModelParseError(f"{name} must be positive and finite; got {value!r}")
 
 
-def jump_or_intervene(curve: JCurve, wait_value: np.ndarray, eps: float):
-    """The single jump-or-intervention step at every state of a curve batch.
+def jump_or_intervene(curve: CurveWindows, wait_value: np.ndarray):
+    """The single jump-or-intervention step at every state of a batch of
+    curve windows.
 
     A state waits where its waiting value is strictly below the curve's
     infimum; elsewhere it intervenes at the eps-threshold time, which is
@@ -534,7 +691,7 @@ def jump_or_intervene(curve: JCurve, wait_value: np.ndarray, eps: float):
     r = curve.profile.t_star.copy()
     act = np.nonzero(~wait)[0]
     if act.size:
-        r[act] = low.threshold_time(act, eps)
+        r[act] = low.threshold_time(act)
         value[act] = curve.at(act, r[act])
     y_index = curve.v.argmin_many(curve.profile.mode, curve.profile.flow(r))
     return wait, r, value, y_index, low
@@ -554,11 +711,12 @@ def inf_J(model: PdmpModel, v, w, x: StatePoint, eps: float) -> InfJResult:
     The curve is constant past t*, so a grid over [0, t*] plus golden-section
     refinement around the best cell finds the infimum; the threshold time is
     the earliest time (scanning upward from 0) where the curve is strictly
-    below inf + eps, located by bisection inside its bracketing cell.
+    below inf + eps, located by bisection inside its bracketing cell.  This
+    is the search of :func:`jump_or_intervene`, on a one-state batch.
     """
     check_positive(eps, "eps")
-    low = CurveMinimum(JCurve(state_profile(model, x), v, w))
-    return _one_state_inf(low, low.threshold_time(_ONE_STATE, eps)[0])
+    low = CurveMinimum(JCurve(state_profile(model, x), v, w).windows(eps))
+    return _one_state_inf(low, low.threshold_time(_ONE_STATE)[0])
 
 
 def op_Lscript(model: PdmpModel, w, x: StatePoint, eps: float) -> LscriptResult:
@@ -574,9 +732,9 @@ def op_Lscript(model: PdmpModel, w, x: StatePoint, eps: float) -> LscriptResult:
     phi = [w.eval(y) for y in model.control_set]
     curve = JCurve(state_profile(model, x), MinRelocationValue(model, phi), w)
     wait_value = curve.wait_value()
-    wait, r, value, _y_index, low = jump_or_intervene(curve, wait_value, eps)
+    wait, r, value, _y_index, low = jump_or_intervene(curve.windows(eps), wait_value)
     # The step searches the threshold time only where intervening wins.
-    r_eps = low.threshold_time(_ONE_STATE, eps)[0] if wait[0] else r[0]
+    r_eps = low.threshold_time(_ONE_STATE)[0] if wait[0] else r[0]
     return LscriptResult(value=float(value[0]),
                          branch=BRANCH_WAIT if wait[0] else BRANCH_INTERVENE,
                          wait_value=float(wait_value[0]), detail=_one_state_inf(low, r_eps))

@@ -7,10 +7,12 @@ to an expected jump discount below one.  The budgeted value functions V_k
 then follow the single-jump-or-intervention recursion: at every grid node
 the strictly cheaper of "wait for the natural jump" and "intervene at the
 eps-threshold time" is recorded together with the intervention time and
-restart target.  Each stage runs the one step of the operators module,
-:func:`~.operators.jump_or_intervene`, over chunks of nodes, with waiting
-values from one application of the grid operator that :func:`compute_h`
-built and kept on h: one discretization per solve.  Every flow, in the grid
+restart target.  Each stage builds the curves of chunks of nodes, keeps
+their cell windows, and runs the one step of the operators module,
+:func:`~.operators.jump_or_intervene`, once per batch of a mode's windows
+(:func:`~.operators.curve_batches`), with waiting values from one
+application of the grid operator that :func:`compute_h` built and kept on
+h: one discretization per solve.  Every flow, in the grid
 operator, the stages and :func:`eval_Vk_exact`, lies on the one time grid of
 ``operators.FLOW_TIME_NODES`` points.
 
@@ -36,7 +38,7 @@ from .errors import (
     PolicyCoverageError,
     ResourceBudgetError,
 )
-from .model import PdmpModel, StatePoint, _node_mesh
+from .model import PdmpModel, StatePoint, _coverage_box, _node_mesh
 from .operators import (
     BRANCH_INTERVENE,
     BRANCH_WAIT,
@@ -47,6 +49,7 @@ from .operators import (
     MinRelocationValue,
     check_positive,
     chunk_rows,
+    curve_batches,
     jump_or_intervene,
     op_Lscript,
 )
@@ -74,14 +77,6 @@ def _cell_weights(axes: tuple[np.ndarray, ...], pos: np.ndarray):
         flat = np.concatenate([flat, flat + stride], axis=1)
         coef = np.concatenate([coef * (1.0 - t), coef * t], axis=1)
     return flat, coef
-
-
-def _coverage_box(lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Coverage bounds widened by the slack that absorbs rounding at the
-    region boundary; queries inside them are served, others extrapolate."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    slack = 1e-9 * np.maximum(1.0, hi - lo)
-    return lo - slack, hi + slack
 
 
 class FunctionStore:
@@ -197,9 +192,11 @@ class GridOperator:
         self.size = offset = sum(sizes)
         self.offset_vec = np.empty(offset)
         data, indices, counts = [], [], []
+        static_cells = {m: self._static_cells(m) for m in model.mode_ids}
         for start, geo in self.node_profiles():
             for rows in geo.blocks():
-                running, *block = self._block_rows(geo, rows, *geo.quadrature(rows))
+                running, *block = self._block_rows(geo, rows, static_cells[geo.mode],
+                                                   *geo.quadrature(rows))
                 self.offset_vec[start + rows] = running
                 data.append(block[0])
                 indices.append(block[1])
@@ -226,9 +223,20 @@ class GridOperator:
         flat, coef = self.grid.locate(mode, pos)
         return flat + self.mode_offsets[mode], coef
 
-    def _block_rows(self, geo: FlowProfile, rows: np.ndarray, wq, pos, lam, damp, f):
+    def _static_cells(self, mode: int):
+        """Probability, cell indices and weights of each atom of the mode's
+        static kernel, located once; None unless the kernel is static."""
+        static = self.model.kernel.static_atoms_for(mode)
+        if static is None:
+            return None
+        return [(prob, *self._cells(a_mode, a_pos[None, :]))
+                for (a_mode, _pos, prob), a_pos in zip(static.atoms, static.positions)]
+
+    def _block_rows(self, geo: FlowProfile, rows: np.ndarray, static_cells,
+                    wq, pos, lam, damp, f):
         """F, then the CSR data, column indices and row lengths of B, on the
-        rows of one block of nodes.
+        rows of one block of nodes; ``static_cells`` are the mode's
+        :meth:`_static_cells`.
 
         Entries for one column add up in input order (interior atoms,
         quadrature node by node, then the end atoms), the order of a sum
@@ -238,14 +246,17 @@ class GridOperator:
         n = rows.size
         nodes, cols, vals = [], [], []
         jump = wq * damp * lam
-        static = model.kernel.static_atoms_for(mode)
-        if static is not None:
+        end_damp = geo.damping(rows, geo.t_star[rows])
+        if static_cells is not None:
             total = jump.sum(axis=1)
-            for (a_mode, _pos, prob), a_pos in zip(static.atoms, static.positions):
-                flat, coef = self._cells(a_mode, a_pos[None, :])
+            for prob, flat, coef in static_cells:
                 nodes.append(np.repeat(np.arange(n), coef.shape[1]))
                 cols.append(np.tile(flat[0], n))
                 vals.append(((total * prob)[:, None] * coef).ravel())
+            for prob, flat, coef in static_cells:
+                nodes.append(np.repeat(np.arange(n), coef.shape[1]))
+                cols.append(np.tile(flat[0], n))
+                vals.append((coef * end_damp[:, None] * prob).ravel())
         else:
             for rec in model.kernel.atom_records(mode, pos.reshape(-1, pos.shape[-1])):
                 flat, coef = self._cells(rec.mode, rec.positions)
@@ -253,13 +264,11 @@ class GridOperator:
                 nodes.append(np.repeat(rec.indices // wq.shape[1], coef.shape[1]))
                 cols.append(flat.ravel())
                 vals.append((coef * weight[:, None]).ravel())
-        t_star = geo.t_star[rows]
-        end_damp = geo.damping(rows, t_star)
-        for rec in model.kernel.atom_records(mode, geo.flow(t_star, rows)):
-            flat, coef = self._cells(rec.mode, rec.positions)
-            nodes.append(np.repeat(rec.indices, coef.shape[1]))
-            cols.append(flat.ravel())
-            vals.append((coef * end_damp[rec.indices][:, None] * rec.prob).ravel())
+            for rec in model.kernel.atom_records(mode, geo.flow(geo.t_star[rows], rows)):
+                flat, coef = self._cells(rec.mode, rec.positions)
+                nodes.append(np.repeat(rec.indices, coef.shape[1]))
+                cols.append(flat.ravel())
+                vals.append((coef * end_damp[rec.indices][:, None] * rec.prob).ravel())
         keys, where = np.unique(np.concatenate(nodes) * self.size + np.concatenate(cols),
                                 return_inverse=True)
         data = np.bincount(where, weights=np.concatenate(vals), minlength=keys.size)
@@ -431,10 +440,12 @@ def value_iterate(model: PdmpModel, h: FunctionStore, n_max: int, eps: float) ->
         wait_flags = np.empty(gop.size, dtype=bool)
         r_vec = np.empty(gop.size)
         y_vec = np.empty(gop.size, dtype=np.int64)
-        for start, profile in gop.node_profiles():
-            rows = slice(start, start + profile.size)
+        curves = ((start, JCurve(profile, reloc, prev_store))
+                  for start, profile in gop.node_profiles())
+        for start, windows in curve_batches(curves, eps):
+            rows = slice(start, start + windows.profile.size)
             wait_flags[rows], r_vec[rows], new_vec[rows], y_vec[rows], _low = jump_or_intervene(
-                JCurve(profile, reloc, prev_store), wait_vec[rows], eps)
+                windows, wait_vec[rows])
         table.stages.append(
             PolicyStage(
                 wait=gop.split(wait_flags),

@@ -56,6 +56,16 @@ def test_validate_rejects_grid_density_below_two(tmp_path, capsys, density):
     assert not out.exists()
 
 
+def test_subscript_past_the_dimension_exits_2(tmp_path, capsys):
+    doc = rm1_doc()
+    doc["costs"]["running"]["1"] = "1.0 + zeta[1]"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run_cli("validate", "--model", bad, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "costs.running[1]" in err and "Traceback" not in err
+
+
 def test_missing_model_file_is_io_error(tmp_path):
     assert run_cli("validate", "--model", tmp_path / "nope.json",
                    "--out", tmp_path) == 1

@@ -11,8 +11,9 @@ from pdmp_impulse.errors import (
     UnsupportedFeatureError,
 )
 from pdmp_impulse.model import as_state, load_model, validate_model
+from pdmp_impulse.valuefn import GridSpec, compute_h, value_iterate
 
-from conftest import planar_doc, rm1_doc
+from conftest import MODEL_PATH, planar_doc, rm1_doc
 
 
 def test_load_rm1_echoes_declared_fields(rm1):
@@ -54,6 +55,37 @@ def test_parse_errors_name_the_field():
     doc["control_set"] = []
     with pytest.raises(ModelParseError, match="control_set"):
         load_model(doc)
+
+
+def _set_running(doc, expr):
+    doc["costs"]["running"]["1"] = expr
+
+
+def _set_intensity(doc, expr):
+    doc["intensity"]["2"] = expr
+
+
+def _set_atom(doc, expr):
+    doc["kernel"][0]["atoms"][0]["zeta"] = [expr]
+
+
+def _set_intervention(doc, expr):
+    doc["costs"]["intervention"] = {"kind": "expr", "expr": expr.replace("zeta", "y")}
+
+
+@pytest.mark.parametrize("field, setter", [
+    ("costs.running[1]", _set_running), ("intensity[2]", _set_intensity),
+    ("kernel[0].atoms[0].zeta[0]", _set_atom), ("costs.intervention.expr", _set_intervention),
+])
+def test_subscript_past_the_dimension_is_parse_error(field, setter):
+    doc = rm1_doc()
+    setter(doc, "1.0 + zeta[1]")
+    with pytest.raises(ModelParseError) as info:
+        load_model(doc)
+    assert str(info.value).startswith(field + ":") and "[1]" in str(info.value)
+    doc = rm1_doc()
+    setter(doc, "1.0 + zeta[0]")
+    load_model(doc)
 
 
 def test_load_from_json_text_and_path(tmp_path):
@@ -151,6 +183,27 @@ def test_kernel_coverage_error():
     [(entry, rows)] = model.kernel.claim(1, np.array([[3.0], [4.0]]))
     assert entry is model.kernel.entries[0]
     assert rows.tolist() == [0, 1]
+
+
+def test_region_split_kernel_claims_a_flow_end_rounded_past_its_edge():
+    # Mode 1 decays to -2, so its flows meet the zeta = 0 boundary a rounding
+    # error outside the [0, 5] entry region.
+    doc = json.loads((MODEL_PATH.parent / "affine_intensity.json").read_text())
+    doc["kernel"][2]["atoms"][0]["zeta"] = ["6.0"]
+    doc["flow"] = {"family": "exponential-decay-to-target",
+                   "params": {"1": {"target": [-2.0], "rate": [0.4]},
+                              "2": {"target": [-2.0], "rate": [0.4]}}}
+    model = load_model(doc)
+    start = np.array([[8.0]])
+    end = model.flow.position(1, start, model.flow.hit_times(1, start))
+    assert end[0, 0] < 0.0
+    [(entry, rows)] = model.kernel.claim(1, np.vstack([end, [[3.0]]]))
+    assert entry is model.kernel.entries[0] and rows.tolist() == [0, 1]
+    assert validate_model(model, grid_density=20).passed
+    h = compute_h(model, GridSpec(density=20))
+    assert value_iterate(model, h, n_max=1, eps=0.01).stages
+    with pytest.raises(KernelCoverageError, match=r"zeta=\(-0\.001,\)"):
+        model.kernel.claim(1, np.array([[3.0], [-1e-3]]))
 
 
 def test_region_membership_helpers(rm1):

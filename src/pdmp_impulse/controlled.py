@@ -11,7 +11,8 @@ positive.  Classification never compares sampled reals for equality: the
 sojourn sampler returns the truncation flag.
 
 One path on a caller's Generator (:func:`simulate_controlled`, :func:`aug_step`)
-runs the scalar step core of :mod:`.dynamics`; every seeded batch runs in
+runs the scalar step core of :mod:`.dynamics`, which hands the Generator back
+where one ``rng.random()`` call per uniform would leave it; every seeded batch runs in
 lockstep (:func:`.dynamics.lockstep_costs`): cost estimates, and the law checks
 at horizon 0 on the first jump and intervention times.  Both read the policy
 from :meth:`PolicyTable.lookup_many`; they and the analytic first-jump law
@@ -185,7 +186,7 @@ def aug_step(s: AugmentedState, table: PolicyTable, model: PdmpModel,
     if s is CEMETERY:
         raise DomainError("cannot step from the cemetery state")
     sojourn, kind, cap_hit, pre_pos, post_mode, post_pos, post_budget, _index = _raw_step(
-        _runtime(model), table, s.mode, s.zeta, s.budget, rng
+        _runtime(model), table, s.mode, s.zeta, s.budget, rng.random
     )
     pre = AugmentedState(s.mode, pre_pos, s.budget, s.clock + sojourn)
     post = AugmentedState(post_mode, post_pos, post_budget, 0.0)
@@ -211,7 +212,12 @@ def simulate_controlled(
 
     Running cost is accumulated up to the horizon (tail-truncation rule);
     intervention costs are never truncated, so simulation continues past the
-    horizon until the budget is exhausted.
+    horizon until the budget is exhausted.  As in
+    :func:`.dynamics.simulate_uncontrolled`, the uniforms are those of one
+    ``rng.random()`` call each, and rng is left, also when the path raises,
+    in the state those calls would have left it.  rng must be a
+    ``numpy.random.Generator`` that nothing else draws from while the path
+    runs: the path rewinds it at the end.
     """
     _check_budget(table, n0)
     if horizon is None:

@@ -19,9 +19,15 @@ estimates and the law checks.  Both read the policy through
 :meth:`PolicyTable.lookup_many` and each model fact from one source, indexed
 by :class:`_SimRuntime`: flow maps built from one set of formulas, constant
 rates and the static-kernel table; other kernels go through
-:meth:`KernelRuntime.claim`.  The scalar loop stays for one path,
-where a one-replicate lockstep run measured 455 paths/s against its 14.7k
-without events (32x, rm1 from (1, 2.0) on a 2-vCPU host, Generator creation
+:meth:`KernelRuntime.claim`.
+
+A path takes the uniforms of the caller's Generator in blocks of DRAW_BLOCK
+and hands the Generator back exactly where one ``rng.random()`` call per
+uniform would have left it, also when the path raises
+(:class:`_PathUniforms`); a single step (:func:`.controlled.aug_step`) draws
+one call at a time.  The scalar loop stays for one path, where a
+one-replicate lockstep run measured 890 paths/s against its 38k without
+events (43x, rm1 from (1, 2.0) on a 2-vCPU host, Generator creation
 included; the README gives the command); it is also the lockstep engine's
 oracle.
 """
@@ -33,7 +39,8 @@ import math
 import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
+from operator import length_hint
 
 import numpy as np
 from scipy.integrate import quad
@@ -173,46 +180,66 @@ def flow_sojourns(model: PdmpModel, mode: int, zeta: np.ndarray, cap: np.ndarray
 
 
 class _SimRuntime:
-    """Per-model index, by mode, of the model facts that both simulators
-    read: the flow's scalar hit and position maps, the constant intensity and
-    running cost (None where they vary) and the static-kernel table.  It
-    derives none of them; it holds references, so that a step finds each in
-    one dictionary."""
+    """Per-model index, by mode, of what the simulators read: the constant
+    intensity and running cost (None where they vary) and the static-kernel
+    table.  It derives no model fact.  ``step[mode]`` holds what one scalar
+    step reads, so that it finds all of it in one lookup: the flow's scalar
+    hit and position maps, the constant intensity, and the one-position
+    samplers of the sojourn and the post-jump atom, built once per mode;
+    in that order, (hit, lam, sojourn, position, post_jump)."""
 
     def __init__(self, model: PdmpModel):
         self.model = model
-        self.hit = model.flow.hit_fn
-        self.position = model.flow.position_fn
         self.lam_const = {m: e.constant for m, e in model.intensity.items()}
         self.f_const = {m: e.constant for m, e in model.costs.running.items()}
         self.static = {m: model.kernel.static_atoms_for(m) for m in model.mode_ids}
+        self.step = {m: (model.flow.hit_fn[m], self.lam_const[m], _sojourn_sampler(model, m),
+                         model.flow.position_fn[m],
+                         _atom_sampler(model.kernel, m, self.static[m]))
+                     for m in model.mode_ids}
 
-    def sample_sojourn(self, mode: int, zeta, t_cap: float, u: float) -> tuple[float, bool]:
-        """One sojourn of :func:`flow_sojourns`, truncated at t_cap >= 0; a
-        constant intensity keeps its closed form on the math module."""
+
+def _sojourn_sampler(model: PdmpModel, mode: int):
+    """sojourn(zeta, t_cap, u) -> (sojourn, cap hit): one sojourn of
+    :func:`flow_sojourns` from position zeta of the mode, truncated at
+    t_cap >= 0; a constant intensity keeps its closed form on the math
+    module."""
+    exp, log, lam = math.exp, math.log, model.intensity[mode].constant
+    if lam is not None:
+        def sojourn(zeta, t_cap: float, u: float) -> tuple[float, bool]:
+            if t_cap <= 0.0:
+                return 0.0, True
+            if u < exp(-lam * t_cap):
+                return t_cap, True
+            return -log(u) / lam, False
+        return sojourn
+
+    def sojourn(zeta, t_cap: float, u: float) -> tuple[float, bool]:
         if t_cap <= 0.0:
             return 0.0, True
-        lam = self.lam_const[mode]
-        if lam is not None:
-            if u < math.exp(-lam * t_cap):
-                return t_cap, True
-            return -math.log(u) / lam, False
-        sojourn, hit = flow_sojourns(self.model, mode, np.array([zeta], dtype=float),
-                                     np.array([t_cap]), np.array([u]))
-        return float(sojourn[0]), bool(hit[0])
+        s, hit = flow_sojourns(model, mode, np.array([zeta], dtype=float),
+                               np.array([t_cap]), np.array([u]))
+        return float(s[0]), bool(hit[0])
+    return sojourn
 
-    def post_jump(self, mode: int, pre, u: float) -> tuple[int, tuple[float, ...], int]:
-        """Post-jump mode, position and atom index of :func:`_draw_atoms` at
-        one pre-jump position, from the mode's static-kernel table when it
-        has one."""
-        static = self.static[mode]
-        if static is None:
-            post_mode, post_pos, atom = _draw_atoms(self.model.kernel, mode, np.array([pre]),
+
+def _atom_sampler(kernel, mode: int, static):
+    """post_jump(pre, u) -> (post mode, post position, atom index): the draw
+    of :func:`_draw_atoms` at one pre-jump position of the mode, from its
+    static-kernel table when it has one."""
+    if static is None:
+        def post_jump(pre, u: float) -> tuple[int, tuple[float, ...], int]:
+            post_mode, post_pos, atom = _draw_atoms(kernel, mode, np.array([pre]),
                                                     np.array([u]))
             return int(post_mode[0]), tuple(post_pos[0].tolist()), int(atom[0])
-        # Searching all but the last cumulative probability sends a uniform
-        # that rounding leaves above them all to the last atom.
-        return static.draws[bisect_right(static.cdf, u, 0, len(static.cdf) - 1)]
+        return post_jump
+    # Searching all but the last cumulative probability sends a uniform
+    # that rounding leaves above them all to the last atom; so one atom
+    # takes every uniform.
+    cdf, draws, last = static.cdf, static.draws, len(static.cdf) - 1
+    if not last:
+        return lambda pre, u: draws[0]
+    return lambda pre, u: draws[bisect_right(cdf, u, 0, last)]
 
 
 def _draw_atoms(kernel, mode: int, pre: np.ndarray, u: np.ndarray):
@@ -287,12 +314,14 @@ def cumulative_intensity(model: PdmpModel, x: StatePoint, t: float) -> float:
 
 def sample_sojourn(model: PdmpModel, x: StatePoint, u: float) -> tuple[float, bool]:
     """Map one uniform draw to a sojourn time; flags a boundary hit."""
-    return _runtime(model).sample_sojourn(x.mode, x.zeta, hit_time(model, x), u)
+    _hit, _lam, sojourn, _position, _post_jump = _runtime(model).step[x.mode]
+    return sojourn(x.zeta, hit_time(model, x), u)
 
 
 def sample_post_jump(model: PdmpModel, pre: StatePoint, u: float) -> StatePoint:
     """Select the post-jump state by inverse CDF over the kernel atoms at pre."""
-    mode, zeta, _atom = _runtime(model).post_jump(pre.mode, pre.zeta, u)
+    *_, post_jump = _runtime(model).step[pre.mode]
+    mode, zeta, _atom = post_jump(pre.zeta, u)
     return StatePoint(mode, zeta)
 
 
@@ -329,27 +358,29 @@ def _never_exits(mode: int, zeta) -> NumericalError:
 
 
 def _raw_step(rt: _SimRuntime, table, mode: int, zeta: tuple[float, ...], budget: int,
-              rng: np.random.Generator):
+              draw):
     """One jump of the budget-augmented process from (mode, zeta) at clock 0.
 
     The sojourn is truncated at min(boundary-hit time, planned intervention
     time r); the table is consulted only while the budget is positive, and a
-    waiting branch plans no intervention.  Returns (sojourn, kind, cap_hit,
-    pre-jump position, post mode, post position, post budget, index), where
-    index is the restart index of an intervention and the kernel-atom index
-    of a natural jump.
+    waiting branch plans no intervention.  draw() returns the next uniform:
+    one for the sojourn, then one for the atom of a natural jump.  Returns
+    (sojourn, kind, cap_hit, pre-jump position, post mode, post position,
+    post budget, index), where index is the restart index of an intervention
+    and the kernel-atom index of a natural jump.
     """
-    ts = rt.hit[mode](zeta)
+    hit, lam, sojourn_at, position, post_jump = rt.step[mode]
+    ts = hit(zeta)
     intervene = False
     if budget:
         wait, r, y_idx = table.lookup_many(mode, np.array([zeta]), budget)
         r, y_idx = float(r[0]), int(y_idx[0])
         intervene = not wait[0] and r < ts
     cap = r if intervene else ts
-    if cap == math.inf and rt.lam_const[mode] == 0.0:
+    if lam == 0.0 and cap == math.inf:
         raise _never_exits(mode, zeta)
-    sojourn, cap_hit = rt.sample_sojourn(mode, zeta, cap, rng.random())
-    pre = rt.position[mode](zeta, sojourn)
+    sojourn, cap_hit = sojourn_at(zeta, cap, draw())
+    pre = position(zeta, sojourn)
     if cap_hit and intervene:
         if y_idx < 0:
             raise PolicyCoverageError(
@@ -357,8 +388,52 @@ def _raw_step(rt: _SimRuntime, table, mode: int, zeta: tuple[float, ...], budget
             )
         y = table.control_set[y_idx]
         return sojourn, INTERVENTION, True, pre, y.mode, y.zeta, budget - 1, y_idx
-    post_mode, post_pos, atom = rt.post_jump(mode, pre, rng.random())
+    post_mode, post_pos, atom = post_jump(pre, draw())
     return sojourn, NATURAL, cap_hit, pre, post_mode, post_pos, budget - 1 if budget else 0, atom
+
+
+DRAW_BLOCK = 64
+"""Uniforms computed at a time: of a lockstep replicate's stream, and of a
+caller's Generator by one path.  No result depends on it."""
+
+
+class _PathUniforms:
+    """The uniforms of one path on a caller's Generator, taken from blocks of
+    ``rng.random(DRAW_BLOCK)``, which for numpy's bit generators holds the
+    doubles of as many single ``rng.random()`` calls.  The first block is
+    fetched at the first draw, after the Generator's state is saved;
+    :meth:`hand_back` restores that state and redraws the uniforms used, so
+    the Generator ends where single draws would have left it.  Anything else
+    that draws from the Generator while the path runs has its draws replayed
+    or lost.  Only a ``numpy.random.Generator`` can be drawn from
+    (TypeError at the first draw otherwise)."""
+
+    __slots__ = ("rng", "state", "blocks", "block", "draw")
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.state = None
+        self.blocks = 0
+        self.block = None
+        # chain's C iteration over each block's list is the cheap per-draw call.
+        self.draw = chain.from_iterable(self._blocks()).__next__
+
+    def _blocks(self):
+        rng = self.rng
+        if not isinstance(rng, np.random.Generator):
+            raise TypeError(f"a path draws from a numpy Generator; got {type(rng).__name__}")
+        self.state = rng.bit_generator.state
+        while True:
+            self.block = iter(rng.random(DRAW_BLOCK).tolist())
+            self.blocks += 1
+            yield self.block
+
+    def hand_back(self) -> None:
+        if self.state is not None:
+            used = self.blocks * DRAW_BLOCK - length_hint(self.block)
+            self.rng.bit_generator.state = self.state
+            for start in range(0, used, DRAW_BLOCK):
+                self.rng.random(min(DRAW_BLOCK, used - start))
 
 
 def _run_path(model: PdmpModel, table, x0: StatePoint, budget: int, horizon: float,
@@ -372,7 +447,8 @@ def _run_path(model: PdmpModel, table, x0: StatePoint, budget: int, horizon: flo
     horizon until the budget is spent.  Returns (running cost, discounted
     fees, interventions, events); both lists hold (jump time, pre-jump mode,
     pre-jump budget, step) records, and events stays empty unless
-    collect_events.
+    collect_events.  Uniforms come from :class:`_PathUniforms`, and rng is
+    handed back as single draws would leave it, also when the path raises.
     """
     _check_start(model, x0.mode, x0.zeta)
     _check_horizon(horizon)
@@ -383,33 +459,38 @@ def _run_path(model: PdmpModel, table, x0: StatePoint, budget: int, horizon: flo
     interventions: list[tuple] = []
     events: list[tuple] = []
     n_jumps = 0
-    while True:
-        step = _raw_step(rt, table, mode, zeta, budget, rng)
-        sojourn, kind, _cap_hit, pre, post_mode, post_pos, post_budget, index = step
-        jump_time = elapsed + sojourn
-        seg = sojourn if jump_time < horizon else max(horizon - elapsed, 0.0)
-        f0 = f_const[mode]
-        if f0 is None:
-            if seg > 0.0:
-                running += math.exp(-alpha * elapsed) * float(flow_running_cost(
-                    model, mode, np.array([zeta], dtype=float), np.array([seg]))[0])
-        elif f0 != 0.0 and seg > 0.0:
-            running += math.exp(-alpha * elapsed) * f0 * (1.0 - math.exp(-alpha * seg)) / alpha
-        if kind == INTERVENTION:
-            fee = float(model.costs.intervention_along(mode, np.array([pre]), index)[0])
-            fees += math.exp(-alpha * jump_time) * fee
-            interventions.append((jump_time, mode, budget, step))
-        if collect_events:
-            events.append((jump_time, mode, budget, step))
-        elapsed = jump_time
-        mode, zeta, budget = post_mode, post_pos, post_budget
-        n_jumps += 1
-        if n_jumps > MAX_JUMPS:
-            raise NumericalError(
-                f"more than {MAX_JUMPS} jumps; the model looks numerically explosive"
-            )
-        if elapsed >= horizon and budget == 0:
-            return running, fees, interventions, events
+    uniforms = _PathUniforms(rng)
+    draw = uniforms.draw
+    try:
+        while True:
+            step = _raw_step(rt, table, mode, zeta, budget, draw)
+            sojourn, kind, _cap_hit, pre, post_mode, post_pos, post_budget, index = step
+            jump_time = elapsed + sojourn
+            seg = sojourn if jump_time < horizon else max(horizon - elapsed, 0.0)
+            f0 = f_const[mode]
+            if f0 is None:
+                if seg > 0.0:
+                    running += math.exp(-alpha * elapsed) * float(flow_running_cost(
+                        model, mode, np.array([zeta], dtype=float), np.array([seg]))[0])
+            elif f0 != 0.0 and seg > 0.0:
+                running += math.exp(-alpha * elapsed) * f0 * (1.0 - math.exp(-alpha * seg)) / alpha
+            if kind == INTERVENTION:
+                fee = float(model.costs.intervention_along(mode, np.array([pre]), index)[0])
+                fees += math.exp(-alpha * jump_time) * fee
+                interventions.append((jump_time, mode, budget, step))
+            if collect_events:
+                events.append((jump_time, mode, budget, step))
+            elapsed = jump_time
+            mode, zeta, budget = post_mode, post_pos, post_budget
+            n_jumps += 1
+            if n_jumps > MAX_JUMPS:
+                raise NumericalError(
+                    f"more than {MAX_JUMPS} jumps; the model looks numerically explosive"
+                )
+            if elapsed >= horizon and budget == 0:
+                return running, fees, interventions, events
+    finally:
+        uniforms.hand_back()
 
 
 def simulate_uncontrolled(
@@ -423,7 +504,11 @@ def simulate_uncontrolled(
 
     This is the budget-augmented process at budget 0.  Each step draws one
     uniform for the sojourn and one for the post-jump atom; events at or past
-    the horizon are dropped.
+    the horizon are dropped.  The uniforms are those of one ``rng.random()``
+    call each, and rng is left, also when the path raises, in the state
+    those calls would have left it; a start point or horizon that is refused
+    draws none.  rng must be a ``numpy.random.Generator`` that nothing else
+    draws from while the path runs: the path rewinds it at the end.
     """
     if not horizon > 0:
         raise DomainError(f"horizon must be positive; got {horizon!r}")
@@ -446,11 +531,6 @@ BATCH_REPLICATES = 2048
 """Replicates that :func:`lockstep_costs` steps together over arrays; on rm1,
 2048 ran twice the paths/s of 512, and larger batches gained no more.  No
 result depends on it: every replicate keeps its own stream and arithmetic."""
-
-DRAW_BLOCK = 64
-"""Uniforms of a replicate's stream computed at a time.  No result depends
-on it."""
-
 
 def _first_step_dtype(dim: int) -> np.dtype:
     """Record of a replicate's first jump, as :func:`_raw_step` returns it:
@@ -587,7 +667,7 @@ def _lockstep_batch(rt: _SimRuntime, table, x0: StatePoint, n0: int, horizon: fl
                     rows = rows[plan]
                     intervene[rows], cap[rows], y_idx[rows] = True, r[plan], y[plan]
 
-        # Sojourn truncated at the cap, as _SimRuntime.sample_sojourn.
+        # Sojourn truncated at the cap, as _sojourn_sampler.
         u = streams.draw(slot)
         sojourn = np.zeros(n)
         cap_hit = cap <= 0.0
@@ -637,7 +717,7 @@ def _lockstep_batch(rt: _SimRuntime, table, x0: StatePoint, n0: int, horizon: fl
             out.tau[reps[slot[rows]], count[rows]] = jump_time[rows]
             count[rows] += 1
 
-        # Natural jumps draw their atom, as _SimRuntime.post_jump.
+        # Natural jumps draw their atom, as _atom_sampler.
         natural = ~acted
         u_atom = np.empty(n)
         u_atom[natural] = streams.draw(slot[natural])

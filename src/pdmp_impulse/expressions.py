@@ -54,11 +54,14 @@ _ALLOWED_NODES = (
 
 
 def _check_node(node: ast.AST, variables: tuple[str, ...],
-                where: str) -> tuple[set[str], set[tuple[str, int]]]:
-    """Walk the tree, return the variable names actually used and the
-    (name, index) pairs of the subscripts."""
+                where: str) -> tuple[set[str], set[tuple[str, int]], set[str]]:
+    """Walk the tree, return the variable names actually used, the (name,
+    index) pairs of the subscripts and the names read whole, outside any
+    subscript."""
     used: set[str] = set()
     subscripts: set[tuple[str, int]] = set()
+    indexed: set[int] = set()  # ast.walk meets a subscript before its variable
+    whole: set[str] = set()
     for sub in ast.walk(node):
         if not isinstance(sub, _ALLOWED_NODES):
             raise ModelParseError(
@@ -77,6 +80,7 @@ def _check_node(node: ast.AST, variables: tuple[str, ...],
                 raise ModelParseError(f"{where}: subscripts must be integer literals")
             used.add(sub.value.id)
             subscripts.add((sub.value.id, idx.value))
+            indexed.add(id(sub.value))
         elif isinstance(sub, ast.Constant) and not isinstance(sub.value, (int, float)):
             raise ModelParseError(f"{where}: only numeric literals are allowed")
         elif isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Load):
@@ -85,9 +89,11 @@ def _check_node(node: ast.AST, variables: tuple[str, ...],
             name = sub.id
             if name in variables:
                 used.add(name)
+                if id(sub) not in indexed:
+                    whole.add(name)
             elif name not in _FUNCTIONS and name not in _CONSTANTS:
                 raise ModelParseError(f"{where}: unknown name {name!r} in expression")
-    return used, subscripts
+    return used, subscripts, whole
 
 
 @dataclass(frozen=True)
@@ -97,13 +103,15 @@ class CompiledExpr:
     Array-valued variables broadcast through numpy, so one compiled expression
     serves both point evaluation and whole-trajectory sweeps.  ``constant`` is
     the value of an expression that reads no variable, None otherwise;
-    ``subscripts`` holds the (variable, index) pairs it reads.
+    ``subscripts`` holds the (variable, index) pairs it reads and ``whole``
+    the variables it reads outside any subscript.
     """
 
     source: str
     variables: tuple[str, ...]
     used: frozenset[str]
     subscripts: frozenset[tuple[str, int]]
+    whole: frozenset[str]
     _code: Any = field(repr=False)
     constant: float | None = field(default=None, init=False)
 
@@ -127,11 +135,12 @@ def compile_expr(source, variables: tuple[str, ...], where: str) -> CompiledExpr
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise ModelParseError(f"{where}: cannot parse expression: {exc.msg}") from None
-    used, subscripts = _check_node(tree, variables, where)
+    used, subscripts, whole = _check_node(tree, variables, where)
     code = compile(tree, filename=f"<{where}>", mode="eval")
     try:
         expr = CompiledExpr(source=source, variables=variables, used=frozenset(used),
-                            subscripts=frozenset(subscripts), _code=code)
+                            subscripts=frozenset(subscripts), whole=frozenset(whole),
+                            _code=code)
     except (ArithmeticError, TypeError):
         raise ModelParseError(f"{where}: constant expression is not a real number") from None
     if expr.constant is not None and not math.isfinite(expr.constant):

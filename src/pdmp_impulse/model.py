@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 from itertools import accumulate
 from pathlib import Path
 from types import SimpleNamespace
@@ -115,6 +115,32 @@ def _coordinate_flow(family: str, p: dict[str, np.ndarray], lo: float, hi: float
     return hit, lambda z, t: g + (z[i] - g) * ops.exp(-r * t)
 
 
+def _unrolled_maps(hits, moves):
+    """The scalar hit and position maps of one mode from its coordinate
+    formulas: the least of the coordinate hit times (in coordinate order, as
+    ``min`` takes them; inf when no coordinate leaves) and the tuple of moved
+    coordinates.  Each map is one lambda that calls every formula once by
+    name; a loop over the formulas cost a planar step two to three times as
+    much."""
+    if not hits:
+        hit_fn = lambda z: math.inf
+    elif len(hits) == 1:
+        hit_fn = hits[0]
+    else:
+        hit_fn = _unrolled("lambda z: min({})", "{}(z)", len(hits))(*hits)
+    return hit_fn, _unrolled("lambda z, t: ({},)", "{}(z, t)", len(moves))(*moves)
+
+
+@cache
+def _unrolled(template: str, call: str, n: int):
+    """A function of n formulas f0..f(n-1) that returns the lambda written
+    by filling template with one call of each, comma separated.  Compiled
+    once per template and n in a process, not once per model load."""
+    names = [f"f{i}" for i in range(n)]
+    return eval(f"lambda {', '.join(names)}: "
+                + template.format(", ".join(call.format(name) for name in names)))
+
+
 class FlowRuntime:
     """Closed-form flow evaluation and boundary-hit times for one model.
 
@@ -141,18 +167,8 @@ class FlowRuntime:
             hit_cols, self._move_columns[m] = zip(
                 *(_coordinate_flow(family, params[m], lo, hi, i, np) for i, (lo, hi) in bounds))
             self._hit_columns[m] = tuple(hit for hit in hit_cols if hit is not None)
-            hits = tuple(hit for hit in hits if hit is not None)
-            if not hits:
-                self.hit_fn[m] = lambda z: math.inf
-            elif len(hits) == 1:
-                self.hit_fn[m] = hits[0]
-            else:
-                self.hit_fn[m] = lambda z, hits=hits: min(hit(z) for hit in hits)
-            if len(moves) == 1:
-                self.position_fn[m] = lambda z, t, move=moves[0]: (move(z, t),)
-            else:
-                self.position_fn[m] = lambda z, t, moves=moves: tuple(
-                    move(z, t) for move in moves)
+            self.hit_fn[m], self.position_fn[m] = _unrolled_maps(
+                [hit for hit in hits if hit is not None], moves)
 
     def position(self, mode: int, zeta: Sequence[float], t):
         """Flow position after time t.
@@ -401,12 +417,24 @@ def _positive(value, name: str) -> float:
     return value
 
 
+_POSITIONS = ("zeta", "y")
+"""The expression variables that hold a position, read coordinate by
+coordinate; the others (the modes ``m`` and ``ym``) are scalars."""
+
+
 def _compile(source, variables: tuple[str, ...], where: str, dim: int) -> CompiledExpr:
-    """:func:`compile_expr`, rejecting a subscript of the position ``zeta``
-    or the target ``y`` past the model's ``dim`` coordinates."""
+    """:func:`compile_expr`, rejecting a position (``zeta``, ``y``) read
+    whole, a subscript past the model's ``dim`` coordinates, and a subscript
+    of a scalar."""
     expr = compile_expr(source, variables, where)
+    for name in _POSITIONS:
+        if name in expr.whole:
+            raise ModelParseError(
+                f"{where}: {name} is a position; read its coordinates as {name}[i]")
     for name, index in sorted(expr.subscripts):
-        if name in ("zeta", "y") and index >= dim:
+        if name not in _POSITIONS:
+            raise ModelParseError(f"{where}: {name} is a scalar and cannot be subscripted")
+        if index >= dim:
             raise ModelParseError(
                 f"{where}: {name}[{index}] is past the model's {dim} coordinate(s)")
     return expr

@@ -66,6 +66,26 @@ def test_subscript_past_the_dimension_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "costs.running[1]" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("where, expr", [
+    ("intervention", "1.0 + 0.0*m[0]"),
+    ("intervention", "1.0 + 0.0*y"),
+    ("running", "1.0 + 0.0*zeta"),
+])
+def test_expression_of_the_wrong_rank_exits_2(tmp_path, capsys, where, expr):
+    doc = rm1_doc()
+    if where == "running":
+        doc["costs"]["running"]["1"] = expr
+        field = "costs.running[1]"
+    else:
+        doc["costs"]["intervention"] = {"kind": "expr", "expr": expr}
+        field = "costs.intervention.expr"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run_cli("validate", "--model", bad, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and field in err and "Traceback" not in err
+
+
 def test_missing_model_file_is_io_error(tmp_path):
     assert run_cli("validate", "--model", tmp_path / "nope.json",
                    "--out", tmp_path) == 1

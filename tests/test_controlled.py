@@ -300,7 +300,8 @@ def _first_step_tally(model, table, x0, n0, seed, replicates):
     rt = _runtime(model)
     tally = Counter()
     for rep in range(replicates):
-        step = _raw_step(rt, table, x0.mode, x0.zeta, n0, np.random.default_rng([seed, rep]))
+        step = _raw_step(rt, table, x0.mode, x0.zeta, n0,
+                         np.random.default_rng([seed, rep]).random)
         kind, cap_hit, index = step[1], step[2], step[7]
         if kind == INTERVENTION:
             tally["intervention"] += 1

@@ -442,7 +442,8 @@ def test_static_table_draws_as_the_kernel_claim(rm1, name):
             post_mode, post_pos, atom = _draw_atoms(model.kernel, mode, pre, np.array([u]))
             drawn = (int(post_mode[0]), tuple(post_pos[0].tolist()), int(atom[0]))
             a_mode, a_pos, _prob = static.atoms[want]
-            assert rt.post_jump(mode, (3.0,), float(u)) == drawn == (a_mode, a_pos, want)
+            *_, post_jump = rt.step[mode]
+            assert post_jump((3.0,), float(u)) == drawn == (a_mode, a_pos, want)
     if name == "exponential_decay":
         assert [p for _m, _z, p in model.kernel.static_atoms_for(1).atoms] == [0.4, 0.6]
 

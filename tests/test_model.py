@@ -73,6 +73,10 @@ def _set_intervention(doc, expr):
     doc["costs"]["intervention"] = {"kind": "expr", "expr": expr.replace("zeta", "y")}
 
 
+def _set_intervention_raw(doc, expr):
+    doc["costs"]["intervention"] = {"kind": "expr", "expr": expr}
+
+
 @pytest.mark.parametrize("field, setter", [
     ("costs.running[1]", _set_running), ("intensity[2]", _set_intensity),
     ("kernel[0].atoms[0].zeta[0]", _set_atom), ("costs.intervention.expr", _set_intervention),
@@ -85,6 +89,32 @@ def test_subscript_past_the_dimension_is_parse_error(field, setter):
     assert str(info.value).startswith(field + ":") and "[1]" in str(info.value)
     doc = rm1_doc()
     setter(doc, "1.0 + zeta[0]")
+    load_model(doc)
+
+
+@pytest.mark.parametrize("field, setter, expr, message", [
+    ("costs.intervention.expr", _set_intervention_raw, "1.0 + 0.0*m[0]", "m is a scalar"),
+    ("costs.intervention.expr", _set_intervention_raw, "1.0 + 0.0*ym[0]", "ym is a scalar"),
+    ("costs.intervention.expr", _set_intervention_raw, "1.0 + 0.0*y", "y is a position"),
+    ("costs.intervention.expr", _set_intervention_raw, "1.0 + 0.0*zeta[0]*zeta",
+     "zeta is a position"),
+    ("costs.running[1]", _set_running, "1.0 + 0.0*zeta", "zeta is a position"),
+    ("intensity[2]", _set_intensity, "abs(zeta)", "zeta is a position"),
+    ("kernel[0].atoms[0].zeta[0]", _set_atom, "zeta", "zeta is a position"),
+])
+def test_expression_of_the_wrong_rank_is_parse_error(field, setter, expr, message):
+    """Positions are read coordinate by coordinate and the modes m, ym are
+    scalars; either mistake once loaded and then failed with a TypeError."""
+    doc = rm1_doc()
+    setter(doc, expr)
+    with pytest.raises(ModelParseError) as info:
+        load_model(doc)
+    assert str(info.value).startswith(field + ":") and message in str(info.value)
+
+
+def test_expression_of_the_right_rank_loads():
+    doc = rm1_doc()
+    _set_intervention_raw(doc, "1.0 + 0.01*m*ym + 0.0*abs(zeta[0] - y[0])")
     load_model(doc)
 
 

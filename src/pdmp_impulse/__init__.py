@@ -41,7 +41,6 @@ from .errors import (
     NumericalError,
     PdmpError,
     PolicyCoverageError,
-    ResourceBudgetError,
     UnsupportedFeatureError,
 )
 from .model import (
@@ -72,7 +71,6 @@ from .valuefn import (
     GridSpec,
     PolicyTable,
     compute_h,
-    eval_Vk_exact,
     policy_query,
     value_iterate,
 )

@@ -153,6 +153,7 @@ def aug_flow(model: PdmpModel, s, t: float, table: PolicyTable | None = None):
     """Flow of the augmented process; the cemetery is absorbing."""
     if s is CEMETERY:
         return CEMETERY
+    _check_start(model, s.mode, s.zeta)
     if t < 0:
         raise DomainError("flow time must be nonnegative")
     ts = model.flow.hit_fn[s.mode](s.zeta)
@@ -169,6 +170,7 @@ def aug_hit_time(model: PdmpModel, s: AugmentedState, table: PolicyTable) -> flo
     """min(boundary-hit time, planned intervention time) at the state's point."""
     if s is CEMETERY:
         raise DomainError("hit time undefined at the cemetery state")
+    _check_start(model, s.mode, s.zeta)
     ts = model.flow.hit_fn[s.mode](s.zeta)
     if s.budget == 0:
         return ts
@@ -185,6 +187,7 @@ def aug_step(s: AugmentedState, table: PolicyTable, model: PdmpModel,
     """
     if s is CEMETERY:
         raise DomainError("cannot step from the cemetery state")
+    _check_start(model, s.mode, s.zeta)
     sojourn, kind, cap_hit, pre_pos, post_mode, post_pos, post_budget, _index = _raw_step(
         _runtime(model), table, s.mode, s.zeta, s.budget, rng.random
     )

@@ -111,7 +111,7 @@ segment: the cumulative intensity, its inverse and the running cost."""
 
 
 def _panel_integral(model: PdmpModel, mode: int, zeta: np.ndarray, t: np.ndarray,
-                    integrand, panels: int = FLOW_PANELS) -> np.ndarray:
+                    integrand, panels: int) -> np.ndarray:
     """Integral of integrand(s, pos) over [0, t] along the flows from rows of
     same-mode positions zeta (n, d), or from one row, for each t (n,).  A
     row's value depends on that row alone."""
@@ -121,7 +121,7 @@ def _panel_integral(model: PdmpModel, mode: int, zeta: np.ndarray, t: np.ndarray
 
 
 def flow_cumulative(model: PdmpModel, mode: int, zeta: np.ndarray, t: np.ndarray,
-                    panels: int = FLOW_PANELS, check: bool = False) -> np.ndarray:
+                    check: bool = False) -> np.ndarray:
     """Cumulative intensity Lambda(t) along the flows from rows zeta.  With
     check, twice the panels must agree to 1e-12, which an intensity with a
     kink along the flow fails."""
@@ -130,10 +130,13 @@ def flow_cumulative(model: PdmpModel, mode: int, zeta: np.ndarray, t: np.ndarray
         return lam * t
     if check and not np.isfinite(t).all():
         raise NumericalError("cannot integrate the intensity along an unbounded flow line")
-    total = _panel_integral(model, mode, zeta, t,
-                            lambda s, pos: model.intensity_along(mode, pos), panels)
-    if check and not np.allclose(total, flow_cumulative(model, mode, zeta, t, 2 * panels),
-                                 rtol=1e-12, atol=1e-12):
+
+    def intensity(s, pos):
+        return model.intensity_along(mode, pos)
+
+    total = _panel_integral(model, mode, zeta, t, intensity, FLOW_PANELS)
+    if check and not np.allclose(total, _panel_integral(model, mode, zeta, t, intensity,
+                                                        2 * FLOW_PANELS), rtol=1e-12, atol=1e-12):
         raise NumericalError("intensity is not smooth enough along the flow for panel integration")
     return total
 
@@ -143,7 +146,7 @@ def flow_running_cost(model: PdmpModel, mode: int, zeta: np.ndarray,
     """Discounted running cost over [0, t] along the flows from rows zeta."""
     alpha, running = model.discount, model.costs.running_along
     return _panel_integral(model, mode, zeta, t,
-                           lambda s, pos: np.exp(-alpha * s) * running(mode, pos))
+                           lambda s, pos: np.exp(-alpha * s) * running(mode, pos), FLOW_PANELS)
 
 
 def flow_sojourns(model: PdmpModel, mode: int, zeta: np.ndarray, cap: np.ndarray,
@@ -287,8 +290,7 @@ def flow_at(model: PdmpModel, x: StatePoint, t: float) -> tuple[StatePoint, bool
 
 def hit_time(model: PdmpModel, x: StatePoint) -> float:
     """Exact time for the flow from x to reach the region boundary."""
-    if not model.region(x.mode).contains_interior(x.zeta):
-        raise DomainError(f"state {x} is not interior to its region")
+    _check_start(model, x.mode, x.zeta)
     return model.flow.hit_fn[x.mode](x.zeta)
 
 
@@ -314,29 +316,38 @@ def cumulative_intensity(model: PdmpModel, x: StatePoint, t: float) -> float:
 
 def sample_sojourn(model: PdmpModel, x: StatePoint, u: float) -> tuple[float, bool]:
     """Map one uniform draw to a sojourn time; flags a boundary hit."""
+    t_star = hit_time(model, x)
     _hit, _lam, sojourn, _position, _post_jump = _runtime(model).step[x.mode]
-    return sojourn(x.zeta, hit_time(model, x), u)
+    return sojourn(x.zeta, t_star, u)
 
 
 def sample_post_jump(model: PdmpModel, pre: StatePoint, u: float) -> StatePoint:
-    """Select the post-jump state by inverse CDF over the kernel atoms at pre."""
+    """Select the post-jump state by inverse CDF over the kernel atoms at pre,
+    which may lie on the boundary of its region."""
+    _check_point(model, pre.mode, pre.zeta, "pre-jump")
     *_, post_jump = _runtime(model).step[pre.mode]
     mode, zeta, _atom = post_jump(pre.zeta, u)
     return StatePoint(mode, zeta)
 
 
+def _check_point(model: PdmpModel, mode: int, zeta, role: str):
+    """Reject a point whose mode is undeclared or whose dimension differs
+    from the model's, naming it by role; return the region of its mode."""
+    region = model.modes.get(mode)
+    if region is None:
+        raise DomainError(f"{role} mode {mode} is not declared by the model")
+    if len(zeta) != model.dim:
+        raise DomainError(
+            f"{role} point {tuple(zeta)} has {len(zeta)} coordinates; "
+            f"the model has {model.dim}"
+        )
+    return region
+
+
 def _check_start(model: PdmpModel, mode: int, zeta) -> None:
     """Reject a start point whose mode is undeclared, whose dimension differs
     from the model's, or that is not interior to its region."""
-    region = model.modes.get(mode)
-    if region is None:
-        raise DomainError(f"start mode {mode} is not declared by the model")
-    if len(zeta) != model.dim:
-        raise DomainError(
-            f"start point {tuple(zeta)} has {len(zeta)} coordinates; "
-            f"the model has {model.dim}"
-        )
-    if not region.contains_interior(zeta):
+    if not _check_point(model, mode, zeta, "start").contains_interior(zeta):
         raise DomainError(
             f"start point (mode={mode}, zeta={tuple(zeta)}) is not interior to its region"
         )

@@ -39,9 +39,5 @@ class NumericalError(PdmpError):
     """A numerical procedure failed or gave a non-finite result."""
 
 
-class ResourceBudgetError(PdmpError):
-    """A recursion or work budget was exhausted."""
-
-
 class ArtifactMismatchError(PdmpError):
     """Stored artifact does not match the model it is used with."""

@@ -20,11 +20,11 @@ them: ``valuefn.value_iterate`` runs it over batches of up to
 ``chunk_rows(2 * GL_ORDER)`` grid nodes joined by :func:`curve_batches`,
 with waiting values from the grid operator, and :func:`op_Lscript` over one
 state, with the waiting value from :meth:`JCurve.wait_value`; :func:`inf_J`
-minimizes one state's curve by the same search.  The grid solve, these
-one-state operators and ``valuefn.eval_Vk_exact`` lay every flow on the one
-uniform time grid of FLOW_TIME_NODES points, so they share one
-discretization.  The one-off :func:`op_F`, :func:`op_K` and :func:`op_J`
-stay adaptive quadrature (relative tolerance 1e-10), as oracles.
+minimizes one state's curve by the same search.  The grid solve and these
+one-state operators lay every flow on the one uniform time grid of
+FLOW_TIME_NODES points, so they share one discretization.  The one-off
+:func:`op_F`, :func:`op_K` and :func:`op_J` stay adaptive quadrature
+(relative tolerance 1e-10), as oracles.
 
 Rates and costs are read in their one array form, on rows of positions:
 ``intensity_along``, ``running_along`` and ``intervention_along``.

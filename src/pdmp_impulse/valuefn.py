@@ -12,9 +12,13 @@ their cell windows, and runs the one step of the operators module,
 :func:`~.operators.jump_or_intervene`, once per batch of a mode's windows
 (:func:`~.operators.curve_batches`), with waiting values from one
 application of the grid operator that :func:`compute_h` built and kept on
-h: one discretization per solve.  Every flow, in the grid
-operator, the stages and :func:`eval_Vk_exact`, lies on the one time grid of
-``operators.FLOW_TIME_NODES`` points.
+h: one discretization per solve.  Every flow, in the grid operator and the
+stages, lies on the one time grid of ``operators.FLOW_TIME_NODES`` points.
+
+:class:`GridSpec` pins the control points, static kernel atoms and extra
+points as nodes.  When every atom is static, the operator and the stages read
+values only at pinned nodes, so density 2 gives h, V_k and the policy there
+as a dense grid does.
 
 Value interpolation, policy lookup and operator assembly find grid cells
 through one locator, :meth:`FunctionStore.locate`: a position is served when
@@ -25,6 +29,7 @@ a NaN coordinate counts as outside.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +41,6 @@ from .errors import (
     ModelParseError,
     NumericalError,
     PolicyCoverageError,
-    ResourceBudgetError,
 )
 from .model import PdmpModel, StatePoint, _coverage_box, _node_mesh
 from .operators import (
@@ -44,14 +48,12 @@ from .operators import (
     BRANCH_WAIT,
     FLOW_TIME_NODES,
     FlowProfile,
-    FunctionEvaluable,
     JCurve,
     MinRelocationValue,
     check_positive,
     chunk_rows,
     curve_batches,
     jump_or_intervene,
-    op_Lscript,
 )
 from .quadrature import panel_cumulative
 
@@ -140,8 +142,9 @@ class GridSpec:
     extra_points: dict[int, tuple[tuple[float, ...], ...]] | None = None
 
     def build_axes(self, model: PdmpModel) -> dict[int, tuple[np.ndarray, ...]]:
-        if self.density < 2:
-            raise ModelParseError("grid density must be at least 2")
+        if not isinstance(self.density, numbers.Integral) or self.density < 2:
+            raise ModelParseError(
+                f"grid density must be an integer of at least 2; got {self.density!r}")
         axes: dict[int, tuple[np.ndarray, ...]] = {}
         pinned: dict[int, list[np.ndarray]] = {m: [] for m in model.mode_ids}
         for y in model.control_set:
@@ -475,41 +478,3 @@ def policy_query(table: PolicyTable, x: StatePoint, N: int,
         return PolicyQueryResult(float(model.flow.hit_fn[x.mode](x.zeta)), None, BRANCH_WAIT)
     return PolicyQueryResult(float(r), table.control_set[y_idx], BRANCH_INTERVENE)
 
-
-def eval_Vk_exact(model: PdmpModel, h: FunctionStore, k: int, x: StatePoint,
-                  eps: float, k_exact_max: int = 3, budget: int = 50_000) -> float:
-    """Budget-k value by direct recursion, bypassing the value grid.
-
-    Each level is one :func:`op_Lscript` step whose cost-to-go, the level
-    below, is evaluated recursively wherever the kernel atoms and control
-    points demand it (memoized on rounded positions); cost grows
-    geometrically with k, guarded by an evaluation budget.
-    """
-    if k < 0:
-        raise ModelParseError(f"budget k must be nonnegative; got {k}")
-    if k > k_exact_max:
-        raise ResourceBudgetError(
-            f"exact recursion limited to k <= {k_exact_max}; got {k}"
-        )
-    check_positive(eps, "eps")
-    memo: dict = {}
-    calls = [0]
-
-    def recurse(level: int, point: StatePoint) -> float:
-        if level == 0:
-            return h.eval(point)
-        key = (level, point.mode, tuple(round(z / 1e-9) for z in point.zeta))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        calls[0] += 1
-        if calls[0] > budget:
-            raise ResourceBudgetError(
-                f"exact recursion exceeded its evaluation budget ({budget})"
-            )
-        w = FunctionEvaluable(lambda p: recurse(level - 1, p))
-        value = op_Lscript(model, w, point, eps).value
-        memo[key] = value
-        return value
-
-    return float(recurse(k, x))

@@ -26,13 +26,12 @@ from pdmp_impulse.valuefn import (
     _cell_weights,
     _node_mesh,
     compute_h,
-    eval_Vk_exact,
     value_iterate,
 )
 
 from conftest import FEATURE_MODELS, feature_model
 from oracle import (FlowProfile, JCurve, _first_entry, _golden_min, _inf_from_curve,
-                    exact_value, lscript)
+                    lscript)
 
 EPS = 0.01
 
@@ -240,24 +239,6 @@ def test_one_state_step_matches_value_iterate_at_every_node(name):
                     assert abs(got.value - value[i]) <= 1e-14 * abs(value[i]), (k, zeta)
                 else:
                     assert (got.detail.r_eps, got.value) == (r[i], value[i]), (k, zeta)
-
-
-def test_exact_recursion_matches_the_scalar_oracle(rm1, rm1_h):
-    for k in (1, 2):
-        for x in (StatePoint(1, (2.0,)), StatePoint(2, (4.0,))):
-            assert _close(eval_Vk_exact(rm1, rm1_h, k, x, EPS),
-                          exact_value(rm1, rm1_h, k, x, EPS, n_t=FLOW_TIME_NODES))
-
-
-@pytest.mark.parametrize("name", FEATURE_MODELS)
-def test_exact_recursion_is_the_one_state_step(name):
-    """At k = 1 the exact recursion is one op_Lscript step from h, on the
-    same time grid, so the two agree to the bit."""
-    model, density = feature_model(name)
-    h = compute_h(model, GridSpec(density=density))
-    for m in model.mode_ids:
-        for x in _interior_points(model, m, count=3):
-            assert eval_Vk_exact(model, h, 1, x, EPS) == op_Lscript(model, h, x, EPS).value, x
 
 
 def test_value_iterate_looks_up_the_curve_names_at_call_time(monkeypatch):

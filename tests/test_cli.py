@@ -11,7 +11,6 @@ from pdmp_impulse.cli import main
 from pdmp_impulse.errors import DomainError
 from pdmp_impulse.model import as_state
 from pdmp_impulse.operators import ConstantEvaluable, inf_J, op_Lscript
-from pdmp_impulse.valuefn import eval_Vk_exact
 
 from conftest import MODEL_PATH, planar_doc, rm1_doc
 
@@ -150,7 +149,6 @@ def test_unreadable_artifact_exit_code(cli_workspace, tmp_path, capsys, command,
 _ONE_STATE_ENTRIES = {
     "inf_J": lambda model, h, x: inf_J(model, ConstantEvaluable(1.0), h, x, 0.01),
     "op_Lscript": lambda model, h, x: op_Lscript(model, h, x, 0.01),
-    "eval_Vk_exact": lambda model, h, x: eval_Vk_exact(model, h, 1, x, 0.01),
 }
 
 

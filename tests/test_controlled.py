@@ -110,6 +110,21 @@ def test_step_cemetery_rejected(rm1, rm1_table):
         aug_step(CEMETERY, rm1_table, rm1, np.random.default_rng(0))
 
 
+AUG_ENTRIES = {
+    "aug_flow": lambda model, table, s: aug_flow(model, s, 0.5),
+    "aug_hit_time": lambda model, table, s: aug_hit_time(model, s, table),
+    "aug_step": lambda model, table, s: aug_step(s, table, model, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("entry", AUG_ENTRIES)
+@pytest.mark.parametrize("zeta,mode", [((2.0,), 9), ((1.0, 2.0), 1), ((11.0,), 1)],
+                         ids=["mode", "dimension", "outside"])
+def test_augmented_entries_check_the_start(rm1, rm1_table, entry, zeta, mode):
+    with pytest.raises(DomainError):
+        AUG_ENTRIES[entry](rm1, rm1_table, AugmentedState(mode, zeta, 1, 0.0))
+
+
 def test_step_deterministic_intervention_without_hazard(
     rm1_zero_intensity, zero_intensity_table
 ):

@@ -25,8 +25,8 @@ from pdmp_impulse.dynamics import (
     simulate_uncontrolled,
 )
 from pdmp_impulse.errors import DomainError, NumericalError
-from pdmp_impulse.model import as_state, load_model
-from pdmp_impulse.operators import FlowProfile
+from pdmp_impulse.model import StatePoint, as_state, load_model
+from pdmp_impulse.operators import ConstantEvaluable, FlowProfile, op_F, op_J, op_K
 from pdmp_impulse.quadrature import GL_ORDER, panel_cumulative, panel_nodes
 from pdmp_impulse.valuefn import GridSpec, compute_h
 
@@ -92,6 +92,41 @@ def test_hit_time_near_boundary_not_clamped(rm1):
 def test_hit_time_requires_interior(rm1):
     with pytest.raises(DomainError):
         hit_time(rm1, as_state(1, 0.0))
+
+
+# Points of rm1 in an undeclared mode, of the wrong dimension and outside
+# the region of mode 1, which is [0, 10].
+BAD_POINTS = {"mode": StatePoint(9, (2.0,)), "dimension": StatePoint(1, (1.0, 2.0)),
+              "outside": StatePoint(1, (11.0,))}
+
+_ONE = ConstantEvaluable(1.0)
+ONE_POINT_ENTRIES = {
+    "hit_time": hit_time,
+    "flow_at": lambda model, x: flow_at(model, x, 0.5),
+    "cumulative_intensity": lambda model, x: cumulative_intensity(model, x, 0.5),
+    "sample_sojourn": lambda model, x: sample_sojourn(model, x, 0.5),
+    "op_F": lambda model, x: op_F(model, x, 0.5),
+    "op_K": lambda model, x: op_K(model, _ONE, x),
+    "op_J": lambda model, x: op_J(model, _ONE, _ONE, x, 0.5),
+}
+
+
+@pytest.mark.parametrize("entry", ONE_POINT_ENTRIES)
+@pytest.mark.parametrize("bad", BAD_POINTS)
+def test_one_point_entries_check_the_start(rm1, entry, bad):
+    with pytest.raises(DomainError):
+        ONE_POINT_ENTRIES[entry](rm1, BAD_POINTS[bad])
+
+
+@pytest.mark.parametrize("bad", ["mode", "dimension"])
+def test_sample_post_jump_checks_mode_and_dimension(rm1, bad):
+    with pytest.raises(DomainError):
+        sample_post_jump(rm1, BAD_POINTS[bad], 0.5)
+
+
+def test_sample_post_jump_accepts_a_boundary_point(rm1):
+    # A pre-jump point on the boundary is where a boundary hit jumps from.
+    assert sample_post_jump(rm1, as_state(1, 0.0), 0.5) == as_state(2, 5.0)
 
 
 @pytest.mark.parametrize("family,params", [

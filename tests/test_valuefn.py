@@ -11,21 +11,20 @@ from pdmp_impulse.errors import (
     ModelParseError,
     NumericalError,
     PolicyCoverageError,
-    ResourceBudgetError,
 )
 from pdmp_impulse.model import StatePoint, as_state
-from pdmp_impulse.operators import BRANCH_INTERVENE, BRANCH_WAIT, op_K
+from pdmp_impulse.operators import BRANCH_INTERVENE, BRANCH_WAIT, FLOW_TIME_NODES, op_K
 from pdmp_impulse.valuefn import (
     BRANCH_NONE,
     FunctionStore,
     GridSpec,
     compute_h,
-    eval_Vk_exact,
     policy_query,
     value_iterate,
 )
 
 from conftest import FEATURE_MODELS, PINNED, feature_model
+from oracle import exact_value
 
 
 def hand_h_at_atoms():
@@ -50,6 +49,18 @@ def test_grid_pins_control_points_atoms_and_extras(rm1):
         assert pinned in axes[2][0]
     assert len(axes[1][0]) >= 200
     assert axes[1][0][0] > 0.0 and axes[1][0][-1] < 10.0
+
+
+@pytest.mark.parametrize("density", [2.5, "3", 1, 0, True])
+def test_grid_density_must_be_an_integer_of_at_least_two(rm1, density):
+    with pytest.raises(ModelParseError, match="grid density"):
+        compute_h(rm1, GridSpec(density=density))
+
+
+def test_grid_density_accepts_a_numpy_integer(rm1):
+    h = compute_h(rm1, GridSpec(density=np.int64(3)))
+    for m, axes in GridSpec(density=3).build_axes(rm1).items():
+        np.testing.assert_array_equal(h.axes[m][0], axes[0])
 
 
 def test_function_store_interpolation():
@@ -228,7 +239,8 @@ def test_stage_one_values_match_hand_formulas(rm1_table, rm1_h):
 
 def test_exact_recursion_zero_cost(rm1_zero_running):
     h = compute_h(rm1_zero_running, GridSpec(density=40))
-    assert eval_Vk_exact(rm1_zero_running, h, 2, as_state(1, 2.0), 0.01) == 0.0
+    assert exact_value(rm1_zero_running, h, 2, as_state(1, 2.0), 0.01,
+                       n_t=FLOW_TIME_NODES) == 0.0
 
 
 def test_exact_recursion_matches_grid_within_refinement(rm1, rm1_h, rm1_table):
@@ -240,23 +252,8 @@ def test_exact_recursion_matches_grid_within_refinement(rm1, rm1_h, rm1_table):
             coarse_val = rm1_table.value(k, x)
             fine_val = fine.value(k, x)
             refine_gap = abs(coarse_val - fine_val)
-            exact = eval_Vk_exact(rm1, rm1_h, k, x, 0.01)
+            exact = exact_value(rm1, rm1_h, k, x, 0.01, n_t=FLOW_TIME_NODES)
             assert abs(exact - coarse_val) <= 4 * refine_gap + 5e-4
-
-
-@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -0.01])
-def test_exact_recursion_rejects_bad_eps(rm1, rm1_h, eps):
-    with pytest.raises(ModelParseError, match="eps"):
-        eval_Vk_exact(rm1, rm1_h, 1, as_state(1, 2.0), eps)
-
-
-def test_exact_recursion_budget_guards(rm1, rm1_h):
-    with pytest.raises(ModelParseError, match="budget k"):
-        eval_Vk_exact(rm1, rm1_h, -1, as_state(1, 2.0), 0.01)
-    with pytest.raises(ResourceBudgetError):
-        eval_Vk_exact(rm1, rm1_h, 4, as_state(1, 2.0), 0.01)
-    with pytest.raises(ResourceBudgetError):
-        eval_Vk_exact(rm1, rm1_h, 2, as_state(1, 2.0), 0.01, budget=1)
 
 
 # ---------------------------------------------------------------------------
